@@ -375,12 +375,14 @@ func serveLoop(logger *slog.Logger, addr string, drainGrace time.Duration, srv *
 		return 1
 	}
 
+	// Catch signals before announcing the address: a SIGTERM sent as
+	// soon as "listening" appears must drain, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	logger.Info("listening", append([]any{"addr", ln.Addr().String()}, listenAttrs...)...)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		logger.Error("serve", "err", err)

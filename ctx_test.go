@@ -101,6 +101,46 @@ func TestCancelPropagation(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err reports cancellation from its n-th
+// poll on, so an abort lands at a deterministic point of evaluation.
+type cancelAfter struct {
+	context.Context
+	polls, n int
+}
+
+func (c *cancelAfter) Err() error {
+	c.polls++
+	if c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelColdMaterialisation: cancellation stops a large cold cascade
+// materialisation inside a semi-naive round — the seed pass of chainSrc's
+// right-linear closure derives O(n) of its ~n²/2 atoms within a couple
+// of polls, while the whole run polls hundreds of times — and the partial
+// model is not cached: the same engine then answers in full.
+func TestCancelColdMaterialisation(t *testing.T) {
+	const n = 200
+	e := mustEngine(t, chainSrc(n), Options{Mode: ModeCascade})
+	goal := fmt.Sprintf("reach(n0, n%d)", n)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := e.AskCtx(&cancelAfter{Context: ctx, n: 16}, goal); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("AskCtx = %v, want ErrCanceled", err)
+	}
+	if ok, err := e.Ask(goal); err != nil || !ok {
+		t.Fatalf("Ask(%s) after the abort = %v, %v; want true", goal, ok, err)
+	}
+	if bs, err := e.Query("reach(n0, Y)"); err != nil || len(bs) != n {
+		t.Fatalf("reach(n0, Y) after the abort = %d answers, %v; want %d", len(bs), err, n)
+	}
+	if ok, err := e.Ask("reach(n1, n0)"); err != nil || ok {
+		t.Fatalf("Ask(reach(n1, n0)) after the abort = %v, %v; want false", ok, err)
+	}
+}
+
 // TestQueryCtxDeadline drives the deadline through the solution
 // enumerator (QueryCtx) rather than a single ground ask.
 func TestQueryCtxDeadline(t *testing.T) {

@@ -63,6 +63,39 @@ func TestMemoryBudgetAbortsQuery(t *testing.T) {
 	}
 }
 
+// TestMemoryBudgetAbortsColdMaterialisation: a budget far below a cold
+// cascade materialisation's growth (~2MB for chainSrc(200)) and far above
+// its seed pass (O(n) atoms) aborts it inside a semi-naive round. Each
+// abort discards its partial model and releases its index, but the atoms
+// it interned stay interned, so every retry grows less than the attempt
+// before; the retries converge on the full model, and a partial model
+// cached by any attempt would show up as missing answers.
+func TestMemoryBudgetAbortsColdMaterialisation(t *testing.T) {
+	const n = 200
+	e := mustEngine(t, chainSrc(n), Options{Mode: ModeCascade, MaxMemoryBytes: 1 << 20})
+	goal := fmt.Sprintf("reach(n0, n%d)", n)
+	if _, err := e.Ask(goal); !errors.Is(err, ErrMemory) {
+		t.Fatalf("cold Ask under a 1MiB budget = %v, want ErrMemory", err)
+	}
+	for attempt := 2; ; attempt++ {
+		ok, err := e.Ask(goal)
+		if errors.Is(err, ErrMemory) && attempt < 10 {
+			continue
+		}
+		if err != nil || !ok {
+			t.Fatalf("Ask(%s) attempt %d = %v, %v; want true", goal, attempt, ok, err)
+		}
+		t.Logf("full model on attempt %d", attempt)
+		break
+	}
+	if bs, err := e.Query("reach(n0, Y)"); err != nil || len(bs) != n {
+		t.Fatalf("reach(n0, Y) = %d answers, %v; want %d", len(bs), err, n)
+	}
+	if ok, err := e.Ask("reach(n1, n0)"); err != nil || ok {
+		t.Fatalf("Ask(reach(n1, n0)) = %v, %v; want false", ok, err)
+	}
+}
+
 // TestMemoryBudgetPerQueryBaseline: the budget bounds growth SINCE the
 // query began, not the engine's absolute footprint — a warm engine
 // carrying memo state from earlier queries is not penalised for it.

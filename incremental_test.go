@@ -259,3 +259,54 @@ func TestCommitSubstrateSingleflight(t *testing.T) {
 		t.Errorf("substrate builds after one swap with %d concurrent leases = %d, want 1", k, got)
 	}
 }
+
+// TestRetractionOverdeletesMostOfClosure: on a directed cycle every
+// reach atom has a derivation through every edge, so retracting one edge
+// overdeletes the whole closure; DRed must rederive the half that a path
+// around the broken edge still supports. The maintained model must equal
+// a cold rebuild's, and the cascade must have kept it in place rather
+// than dropping it.
+func TestRetractionOverdeletesMostOfClosure(t *testing.T) {
+	const n = 24
+	src := func(skip int) string {
+		var b strings.Builder
+		b.WriteString("reach(X, Y) :- edge(X, Y).\nreach(X, Y) :- edge(X, Z), reach(Z, Y).\n")
+		for i := 0; i < n; i++ {
+			if i != skip {
+				fmt.Fprintf(&b, "edge(c%d, c%d).\n", i, (i+1)%n)
+			}
+		}
+		return b.String()
+	}
+	closure := func(e *Engine) []string {
+		bs, err := e.Query("reach(X, Y)")
+		if err != nil {
+			t.Fatalf("Query: %v", err)
+		}
+		out := make([]string, 0, len(bs))
+		for _, b := range bs {
+			out = append(out, b["X"]+">"+b["Y"])
+		}
+		sort.Strings(out)
+		return out
+	}
+	inc := mustEngine(t, src(-1), Options{Mode: ModeCascade})
+	if got := len(closure(inc)); got != n*n {
+		t.Fatalf("cycle closure has %d atoms, want %d", got, n*n)
+	}
+	maintained := metrics.Default.LiveIncrementalStates.Value()
+	if err := inc.ApplyDelta(nil, []string{fmt.Sprintf("edge(c%d, c0)", n-1)}); err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	if metrics.Default.LiveIncrementalStates.Value() == maintained {
+		t.Error("retraction dropped the cached model instead of maintaining it in place")
+	}
+	got := closure(inc)
+	want := closure(mustEngine(t, src(n-1), Options{Mode: ModeCascade}))
+	if len(want) != n*(n-1)/2 {
+		t.Fatalf("cold rebuild has %d atoms, want %d", len(want), n*(n-1)/2)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("maintained closure (%d atoms) differs from cold rebuild (%d atoms)", len(got), len(want))
+	}
+}

@@ -1,6 +1,12 @@
 package bottomup
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"hypodatalog/internal/ast"
@@ -8,6 +14,7 @@ import (
 	"hypodatalog/internal/parser"
 	"hypodatalog/internal/ref"
 	"hypodatalog/internal/symbols"
+	"hypodatalog/internal/topdown"
 )
 
 // build compiles a source program and creates a prover over ALL its rules
@@ -229,5 +236,191 @@ func TestNegationLocalVarInDelta(t *testing.T) {
 	p2, cp2, base2 := build(t, "empty :- not q(X).\nq(a).\n", nil)
 	if holds(t, p2, cp2, base2, "empty") {
 		t.Error("empty should fail when q(a) exists")
+	}
+}
+
+// naiveTwin builds a second prover over the same program and base whose
+// every level runs the naive loop.
+func naiveTwin(t *testing.T, p *Prover) *Prover {
+	t.Helper()
+	rules := make([]int, len(p.prog.Rules))
+	for i := range rules {
+		rules[i] = i
+	}
+	q, err := New(p.prog, p.base, p.dom, rules, p.oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.SetNaive(true)
+	return q
+}
+
+// render lists a model's atoms in canonical order.
+func render(t *testing.T, p *Prover, st facts.State) []string {
+	t.Helper()
+	m, err := p.Materialise(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for id := range m {
+		out = append(out, p.in.Format(id))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestSemiNaiveMatchesNaive compares the semi-naive kernel with the
+// naive loop on random graphs. The program has three negation levels,
+// recursion in the first two (linear and non-linear), a
+// negation-local variable, and a head variable with no body occurrence
+// that Definition 3 ranges over the domain.
+func TestSemiNaiveMatchesNaive(t *testing.T) {
+	const rules = `
+		tc(X, Y) :- edge(X, Y).
+		tc(X, Y) :- tc(X, Z), tc(Z, Y).
+		rt(X, Y) :- edge(X, Y).
+		rt(X, Y) :- edge(X, Z), rt(Z, Y).
+		sym(X, Y) :- tc(X, Y), tc(Y, X).
+		island(X) :- node(X), not tc(X, Y).
+		far(X, Y) :- node(X), node(Y), not rt(X, Y).
+		farc(X, Y) :- far(X, Y).
+		farc(X, Y) :- farc(X, Z), far(Z, Y).
+		tag(X, Y) :- island(X).
+		lone(X) :- node(X), not farc(X, X), not sym(X, X).
+	`
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(6)
+		var b strings.Builder
+		b.WriteString(rules)
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "node(v%d).\n", i)
+			for j := 0; j < n; j++ {
+				if rng.Float64() < 0.25 {
+					fmt.Fprintf(&b, "edge(v%d, v%d).\n", i, j)
+				}
+			}
+		}
+		p, _, base := build(t, b.String(), nil)
+		if len(p.levels) != 3 {
+			t.Fatalf("seed %d: %d negation levels, want 3", seed, len(p.levels))
+		}
+		for i, lv := range p.levels {
+			if lv.naive {
+				t.Fatalf("seed %d: level %d fell back to naive", seed, i)
+			}
+		}
+		st := facts.NewState(base)
+		got, want := render(t, p, st), render(t, naiveTwin(t, p), st)
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("seed %d: semi-naive model differs from naive\nsemi-naive: %v\nnaive:      %v", seed, got, want)
+		}
+	}
+}
+
+// TestNaiveFallbackLevel: a hypothetical premise on an owned predicate
+// whose additions are already in the state reads the growing model, so
+// no semi-naive round could pin it; its level must run the naive loop,
+// and hr must come out equal to the plain closure rt.
+func TestNaiveFallbackLevel(t *testing.T) {
+	src := `
+		hr(X, Y) :- edge(X, Y).
+		hr(X, Y) :- edge(X, Z), hr(Z, Y)[add: node(Z)].
+		rt(X, Y) :- edge(X, Y).
+		rt(X, Y) :- edge(X, Z), rt(Z, Y).
+	`
+	for i := 0; i < 6; i++ {
+		src += fmt.Sprintf("node(v%d).\nedge(v%d, v%d).\n", i, i, (i+1)%6)
+	}
+	p, _, base := build(t, src, nil)
+	if len(p.levels) != 1 || !p.levels[0].naive {
+		t.Fatalf("levels = %+v, want one naive level", p.levels)
+	}
+	var hr, rt []string
+	for _, a := range render(t, p, facts.NewState(base)) {
+		if rest, ok := strings.CutPrefix(a, "hr"); ok {
+			hr = append(hr, rest)
+		} else if rest, ok := strings.CutPrefix(a, "rt"); ok {
+			rt = append(rt, rest)
+		}
+	}
+	if len(rt) != 6*6 || strings.Join(hr, " ") != strings.Join(rt, " ") {
+		t.Errorf("hr = %v\nrt = %v", hr, rt)
+	}
+}
+
+// chainProver builds a prover over a right-linear closure of the chain
+// v0 -> ... -> v{n-1}. Its seed pass derives O(n) atoms; the other
+// n(n-1)/2 - O(n) come from semi-naive rounds.
+func chainProver(t *testing.T, n int) (*Prover, facts.State) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("reach(X, Y) :- edge(X, Y).\nreach(X, Y) :- edge(X, Z), reach(Z, Y).\n")
+	for i := 0; i+1 < n; i++ {
+		fmt.Fprintf(&b, "edge(v%d, v%d).\n", i, i+1)
+	}
+	p, _, base := build(t, b.String(), nil)
+	return p, facts.NewState(base)
+}
+
+// cancelAfter is a context whose Err reports cancellation from its n-th
+// poll on, so an abort lands at a deterministic point of evaluation. The
+// embedded context must have a Done channel, or the prover never polls.
+type cancelAfter struct {
+	context.Context
+	polls, n int
+}
+
+func (c *cancelAfter) Err() error {
+	c.polls++
+	if c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestAbortInsideSemiNaiveRound: a cancelled context and an exhausted
+// memory budget each stop a cold materialisation inside a semi-naive
+// round, release every charge the partial model and its index made,
+// cache nothing, and leave the prover able to materialise in full.
+func TestAbortInsideSemiNaiveRound(t *testing.T) {
+	const n = 200
+	for _, tc := range []struct {
+		name string
+		max  int64
+		ctx  func() context.Context
+		want error
+	}{
+		{"cancel", 0, func() context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			return &cancelAfter{Context: ctx, n: 8}
+		}, topdown.ErrCanceled},
+		{"memory", 64 << 10, context.Background, topdown.ErrMemory},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, st := chainProver(t, n)
+			mem := topdown.NewMemTracker(tc.max)
+			p.SetMem(mem)
+			mem.Begin()
+			_, err := p.HoldsCtx(tc.ctx(), p.in.ID(p.prog.Rules[0].Head.Pred, []symbols.Const{0, 1}), st)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("HoldsCtx = %v, want %v", err, tc.want)
+			}
+			if r := p.Stats().Rounds; r < 2 {
+				t.Errorf("aborted in round %d, want a semi-naive round (>= 2)", r)
+			}
+			if len(p.cache) != 0 {
+				t.Errorf("aborted materialisation cached %d entries", len(p.cache))
+			}
+			if used := mem.Current(); used != 0 {
+				t.Errorf("%d bytes still charged after the abort", used)
+			}
+			p.SetMem(nil)
+			if got := render(t, p, st); len(got) != n*(n-1)/2 {
+				t.Errorf("materialisation after abort has %d atoms, want %d", len(got), n*(n-1)/2)
+			}
+		})
 	}
 }

@@ -7,6 +7,9 @@
 // Horn rulebases (both stay in P, section 1), in contrast to hypothetical
 // rulebases where they generate the polynomial-time hierarchy. It rejects
 // hypothetical premises — those need the hypo engines.
+//
+// Evaluation is the bottomup fixpoint kernel over the whole program as a
+// single Δ part, run without an oracle.
 package horn
 
 import (
@@ -14,15 +17,10 @@ import (
 	"sort"
 
 	"hypodatalog/internal/ast"
+	"hypodatalog/internal/bottomup"
 	"hypodatalog/internal/facts"
-	"hypodatalog/internal/symbols"
+	"hypodatalog/internal/ref"
 )
-
-type indexKey struct {
-	pred symbols.Pred
-	pos  int
-	val  symbols.Const
-}
 
 // Strategy selects the fixpoint algorithm.
 type Strategy int
@@ -34,29 +32,19 @@ const (
 	Naive
 )
 
-// Stats counts evaluation work.
-type Stats struct {
-	Rounds     int   // fixpoint rounds across all strata
-	RuleFires  int64 // rule body matches that produced a (possibly old) head
-	Derived    int   // atoms in the computed model (excluding base facts)
-	JoinProbes int64 // candidate atoms inspected during matching
-}
+// Stats counts evaluation work: fixpoint rounds across all strata, rule
+// body matches that produced a (possibly old) head, candidate atoms
+// inspected during matching, and atoms in the computed model (excluding
+// base facts).
+type Stats = bottomup.Stats
 
 // Engine evaluates a Horn program bottom-up and answers membership in its
 // perfect model.
 type Engine struct {
-	prog     *ast.CProgram
-	in       *facts.Interner
-	base     *facts.DB
-	strategy Strategy
-
-	model    map[facts.AtomID]struct{}
-	byPred   map[symbols.Pred][]facts.AtomID
-	index    map[indexKey][]facts.AtomID // derived atoms by (pred, pos, val)
-	computed bool
-	stats    Stats
-
-	levels [][]int // rules grouped by negation stratum
+	in    *facts.Interner
+	base  *facts.DB
+	p     *bottomup.Prover
+	model map[facts.AtomID]struct{} // nil until computed
 }
 
 // New builds an engine over a compiled program. It returns an error if the
@@ -95,68 +83,17 @@ func New(cp *ast.CProgram, strategy Strategy) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e := &Engine{
-		prog:     cp,
-		in:       in,
-		base:     base,
-		strategy: strategy,
-		model:    make(map[facts.AtomID]struct{}),
-		byPred:   make(map[symbols.Pred][]facts.AtomID),
-		index:    make(map[indexKey][]facts.AtomID),
+	rules := make([]int, len(cp.Rules))
+	for i := range rules {
+		rules[i] = i
 	}
-	lv, err := e.negationLevels()
+	// Negation-local variables range over the domain.
+	p, err := bottomup.New(cp, base, ref.Domain(cp), rules, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("horn: %w", err)
 	}
-	e.levels = lv
-	return e, nil
-}
-
-// negationLevels stratifies the program by negation, failing on recursion
-// through negation.
-func (e *Engine) negationLevels() ([][]int, error) {
-	level := map[symbols.Pred]int{}
-	for p := range e.prog.IDB {
-		level[p] = 1
-	}
-	n := len(level)
-	for pass := 0; ; pass++ {
-		if pass > 2*n+2 {
-			return nil, fmt.Errorf("horn: recursion through negation")
-		}
-		changed := false
-		for _, r := range e.prog.Rules {
-			h := r.Head.Pred
-			for _, pr := range r.Body {
-				q := pr.Atom.Pred
-				if !e.prog.IDB[q] {
-					continue
-				}
-				need := level[q]
-				if pr.Kind == ast.Negated {
-					need++
-				}
-				if level[h] < need {
-					level[h] = need
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	maxLvl := 1
-	for _, l := range level {
-		if l > maxLvl {
-			maxLvl = l
-		}
-	}
-	out := make([][]int, maxLvl)
-	for ri, r := range e.prog.Rules {
-		out[level[r.Head.Pred]-1] = append(out[level[r.Head.Pred]-1], ri)
-	}
-	return out, nil
+	p.SetNaive(strategy == Naive)
+	return &Engine{in: in, base: base, p: p}, nil
 }
 
 // Interner returns the engine's ground-atom interner.
@@ -164,26 +101,20 @@ func (e *Engine) Interner() *facts.Interner { return e.in }
 
 // Stats returns the evaluation counters (valid after the model has been
 // computed by a query or by Compute).
-func (e *Engine) Stats() Stats {
-	s := e.stats
-	s.Derived = len(e.model)
-	return s
-}
+func (e *Engine) Stats() Stats { return e.p.Stats() }
 
 // Compute materialises the perfect model.
 func (e *Engine) Compute() {
-	if e.computed {
+	if e.model != nil {
 		return
 	}
-	for _, rules := range e.levels {
-		switch e.strategy {
-		case Naive:
-			e.naiveFixpoint(rules)
-		default:
-			e.semiNaiveFixpoint(rules)
-		}
+	m, err := e.p.Materialise(facts.NewState(e.base))
+	if err != nil {
+		// Every predicate is defined in the one Δ part and no context or
+		// memory budget is installed, so nothing can fail but a bug.
+		panic(fmt.Sprintf("horn: %v", err))
 	}
-	e.computed = true
+	e.model = m
 }
 
 // Holds reports whether an interned atom is in the perfect model.
@@ -205,254 +136,4 @@ func (e *Engine) Model() []facts.AtomID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func (e *Engine) insert(id facts.AtomID) bool {
-	if e.base.Has(id) {
-		return false
-	}
-	if _, ok := e.model[id]; ok {
-		return false
-	}
-	e.model[id] = struct{}{}
-	pred := e.in.Pred(id)
-	e.byPred[pred] = append(e.byPred[pred], id)
-	for pos, val := range e.in.Args(id) {
-		k := indexKey{pred, pos, val}
-		e.index[k] = append(e.index[k], id)
-	}
-	return true
-}
-
-// naiveFixpoint applies all rules against the full model until quiescence.
-func (e *Engine) naiveFixpoint(rules []int) {
-	for {
-		e.stats.Rounds++
-		changed := false
-		for _, ri := range rules {
-			if e.fireRule(ri, nil) {
-				changed = true
-			}
-		}
-		if !changed {
-			return
-		}
-	}
-}
-
-// semiNaiveFixpoint seeds with one naive round, then re-joins each rule
-// only against bindings that touch the previous round's delta.
-func (e *Engine) semiNaiveFixpoint(rules []int) {
-	e.stats.Rounds++
-	var delta []facts.AtomID
-	collect := func(id facts.AtomID) { delta = append(delta, id) }
-	for _, ri := range rules {
-		e.fireRuleCollect(ri, nil, collect)
-	}
-	for len(delta) > 0 {
-		e.stats.Rounds++
-		deltaSet := make(map[facts.AtomID]struct{}, len(delta))
-		for _, id := range delta {
-			deltaSet[id] = struct{}{}
-		}
-		delta = delta[:0]
-		for _, ri := range rules {
-			e.fireRuleCollect(ri, deltaSet, collect)
-		}
-	}
-}
-
-// fireRule derives new instances of one rule; deltaSet, when non-nil,
-// restricts matching so at least one positive premise matches a delta atom.
-func (e *Engine) fireRule(ri int, deltaSet map[facts.AtomID]struct{}) bool {
-	changed := false
-	e.fireRuleCollect(ri, deltaSet, func(facts.AtomID) { changed = true })
-	return changed
-}
-
-func (e *Engine) fireRuleCollect(ri int, deltaSet map[facts.AtomID]struct{}, onNew func(facts.AtomID)) {
-	r := &e.prog.Rules[ri]
-	binding := make([]symbols.Const, r.NumVars)
-	for i := range binding {
-		binding[i] = unbound
-	}
-	// Premise order: positive first, negations last.
-	var pos, negs []int
-	for i := range r.Body {
-		if r.Body[i].Kind == ast.Negated {
-			negs = append(negs, i)
-		} else {
-			pos = append(pos, i)
-		}
-	}
-
-	yield := func() {
-		h := e.groundHead(r, binding)
-		if e.insert(h) {
-			onNew(h)
-		}
-		e.stats.RuleFires++
-	}
-	if deltaSet == nil {
-		order := append(append([]int(nil), pos...), negs...)
-		e.joinAt(r, order, binding, 0, nil, -1, yield)
-		return
-	}
-	// Semi-naive: one pass per positive premise, with that premise bound
-	// to the delta and — crucially — evaluated first, so the small delta
-	// drives the join instead of a full-relation scan.
-	for i := range pos {
-		order := make([]int, 0, len(r.Body))
-		order = append(order, pos[i])
-		for j, p := range pos {
-			if j != i {
-				order = append(order, p)
-			}
-		}
-		order = append(order, negs...)
-		e.joinAt(r, order, binding, 0, deltaSet, 0, yield)
-	}
-}
-
-const unbound symbols.Const = -1
-
-func (e *Engine) groundHead(r *ast.CRule, binding []symbols.Const) facts.AtomID {
-	args := make([]symbols.Const, len(r.Head.Args))
-	for i, t := range r.Head.Args {
-		if t.IsVar() {
-			v := binding[t.VarSlot()]
-			if v == unbound {
-				panic(fmt.Sprintf("horn: rule at line %d is not range-restricted (head variable %s unbound)",
-					r.Line, r.VarNames[t.VarSlot()]))
-			}
-			args[i] = v
-		} else {
-			args[i] = t.ConstID()
-		}
-	}
-	return e.in.ID(r.Head.Pred, args)
-}
-
-// joinAt enumerates bindings premise by premise.
-func (e *Engine) joinAt(r *ast.CRule, order []int, binding []symbols.Const, pi int, deltaSet map[facts.AtomID]struct{}, deltaAt int, yield func()) {
-	if pi == len(order) {
-		yield()
-		return
-	}
-	pr := &r.Body[order[pi]]
-	if pr.Kind == ast.Negated {
-		if !e.negHolds(r, pr, binding) {
-			e.joinAt(r, order, binding, pi+1, deltaSet, deltaAt, yield)
-		}
-		return
-	}
-	mustDelta := pi == deltaAt && deltaSet != nil
-	e.match(pr.Atom, binding, mustDelta, deltaSet, func() {
-		e.joinAt(r, order, binding, pi+1, deltaSet, deltaAt, yield)
-	})
-}
-
-// negHolds evaluates a negated premise; unbound (negation-local) variables
-// are quantified inside the negation.
-func (e *Engine) negHolds(r *ast.CRule, pr *ast.CPremise, binding []symbols.Const) bool {
-	for _, t := range pr.Atom.Args {
-		if t.IsVar() && binding[t.VarSlot()] == unbound {
-			// Some instance provable? Match against base + model.
-			found := false
-			e.match(pr.Atom, binding, false, nil, func() { found = true })
-			return found
-		}
-	}
-	args := make([]symbols.Const, len(pr.Atom.Args))
-	for i, t := range pr.Atom.Args {
-		if t.IsVar() {
-			args[i] = binding[t.VarSlot()]
-		} else {
-			args[i] = t.ConstID()
-		}
-	}
-	id, ok := e.in.Lookup(pr.Atom.Pred, args)
-	if !ok {
-		return false
-	}
-	if e.base.Has(id) {
-		return true
-	}
-	_, ok = e.model[id]
-	return ok
-}
-
-// match enumerates atoms in base+model matching the pattern under binding.
-func (e *Engine) match(pattern ast.CAtom, binding []symbols.Const, mustDelta bool, deltaSet map[facts.AtomID]struct{}, yield func()) {
-	bestPos, bestVal := -1, unbound
-	for i, t := range pattern.Args {
-		var v symbols.Const
-		if t.IsVar() {
-			v = binding[t.VarSlot()]
-		} else {
-			v = t.ConstID()
-		}
-		if v != unbound {
-			bestPos, bestVal = i, v
-			break
-		}
-	}
-	try := func(id facts.AtomID) {
-		e.stats.JoinProbes++
-		args := e.in.Args(id)
-		var boundHere []int
-		ok := true
-		for i, t := range pattern.Args {
-			if t.IsVar() {
-				s := t.VarSlot()
-				switch binding[s] {
-				case unbound:
-					binding[s] = args[i]
-					boundHere = append(boundHere, s)
-				case args[i]:
-				default:
-					ok = false
-				}
-			} else if t.ConstID() != args[i] {
-				ok = false
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			yield()
-		}
-		for _, s := range boundHere {
-			binding[s] = unbound
-		}
-	}
-	if mustDelta {
-		// Semi-naive: the delta premise scans only last round's new atoms.
-		for id := range deltaSet {
-			if e.in.Pred(id) == pattern.Pred {
-				try(id)
-			}
-		}
-		return
-	}
-	// Derived atoms are snapshotted up front: yield may append to the
-	// slices during iteration, and new atoms are picked up by the
-	// enclosing fixpoint's next round.
-	var derived []facts.AtomID
-	if bestPos >= 0 {
-		for _, id := range e.base.ByPredArg(pattern.Pred, bestPos, bestVal) {
-			try(id)
-		}
-		derived = e.index[indexKey{pattern.Pred, bestPos, bestVal}]
-	} else {
-		for _, id := range e.base.ByPred(pattern.Pred) {
-			try(id)
-		}
-		derived = e.byPred[pattern.Pred]
-	}
-	n := len(derived)
-	for i := 0; i < n; i++ {
-		try(derived[i])
-	}
 }
