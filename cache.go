@@ -11,12 +11,13 @@ import (
 	"hypodatalog/internal/topdown"
 )
 
-// CacheStatus reports how a read was served when the versioned answer
-// cache (Options.CacheBytes) is enabled.
+// CacheStatus reports how a pool read was served when the versioned
+// answer cache (Options.CacheBytes) is enabled.
 type CacheStatus int
 
 const (
-	// CacheBypass: no cache is configured for this engine or pool.
+	// CacheBypass: no cache is configured for this pool, or the read
+	// (Explain) never consults it.
 	CacheBypass CacheStatus = iota
 	// CacheMiss: this call ran the evaluation (and stored the answer).
 	CacheMiss
@@ -98,27 +99,12 @@ func premisePreds(cpr ast.CPremise, extra []ast.CAtom) []symbols.Pred {
 	return out
 }
 
-// Cache key canonicalisation. The key folds the operation kind, the
-// parsed premise rendered back to surface syntax (so formatting
-// differences collapse), and — for AskUnder — the sorted added atoms.
-// Ask and AskUnder use distinct prefixes even when semantically
-// equivalent; the cache trades a little duplication for keys that are
-// trivially correct.
-
 // demandKeyPrefix namespaces answer-cache keys produced under
 // demand-driven evaluation. Demand answers equal full answers by
 // construction, but the modes memoise through different machinery, so
 // keeping their cache entries disjoint means a defect in one mode can
 // never serve a wrong answer through the other's key.
 const demandKeyPrefix = "d\x1f"
-
-// ckey namespaces an answer-cache key by the engine's evaluation mode.
-func (e *Engine) ckey(k string) string {
-	if e.dem != nil {
-		return demandKeyPrefix + k
-	}
-	return k
-}
 
 // ckey namespaces an answer-cache key by the pool's evaluation mode.
 func (pl *Pool) ckey(k string) string {
@@ -128,11 +114,16 @@ func (pl *Pool) ckey(k string) string {
 	return k
 }
 
-func askCacheKey(pr ast.Premise) string { return "a\x1f" + pr.String() }
-
-func queryCacheKey(pr ast.Premise) string { return "q\x1f" + pr.String() }
-
-func askUnderCacheKey(pr ast.Premise, adds []ast.Atom) string {
+// cacheKey canonicalises a read's answer-cache key: the operation kind,
+// the parsed premise rendered back to surface syntax (so formatting
+// differences collapse), and — for AskUnder — the sorted added atoms.
+// Ask and AskUnder keep distinct prefixes even when semantically
+// equivalent; the cache trades a little duplication for keys that are
+// trivially correct.
+func cacheKey(kind readKind, pr ast.Premise, adds []ast.Atom) string {
+	if kind != readAskUnder {
+		return string(kind) + "\x1f" + pr.String()
+	}
 	ss := make([]string, len(adds))
 	for i, a := range adds {
 		ss[i] = a.String()

@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"hypodatalog/internal/ast"
-	"hypodatalog/internal/cache"
 	"hypodatalog/internal/depgraph"
 	"hypodatalog/internal/engine"
 	"hypodatalog/internal/facts"
@@ -326,13 +325,13 @@ type Options struct {
 	// PoolSize bounds the number of engines a Pool keeps alive (and hence
 	// its maximum concurrency). Zero means GOMAXPROCS. Ignored by New.
 	PoolSize int
-	// CacheBytes enables the versioned answer cache: Ask/Query/AskUnder
+	// CacheBytes enables a Pool's versioned answer cache: Ask/Query/AskUnder
 	// answers are memoised keyed by (data version, canonical query,
 	// sorted hypothetical adds) up to this byte budget, with singleflight
-	// coalescing of concurrent identical misses on a Pool. Entries from
-	// older data versions are never served after a hot swap (the version
-	// is part of the key); they expire lazily under LRU pressure. Zero
-	// disables caching.
+	// coalescing of concurrent identical misses. Entries from older data
+	// versions are never served after a hot swap (the version is part of
+	// the key); they expire lazily under LRU pressure. Zero disables
+	// caching. Ignored by New.
 	CacheBytes int64
 	// DemandDriven enables magic-sets demand-driven evaluation: ground
 	// goals on intensional predicates are answered by evaluating a
@@ -371,16 +370,11 @@ type Engine struct {
 	dem    *engine.Demand  // non-nil when Options.DemandDriven
 	domSet map[symbols.Const]bool
 
-	// cache memoises answers for a standalone engine (Options.CacheBytes
-	// on New). Engines inside a Pool carry no cache of their own — the
-	// Pool owns one shared cache above the lease, so coalesced callers
-	// never consume an engine.
-	cache *cache.Cache
-
 	// version is the data version of the program this engine was built
 	// against; set by Pool on engines serving a live program, zero
-	// otherwise. Memo tables, interner and base DB are all private to the
-	// engine, so an engine never observes facts from any other version.
+	// otherwise, and advanced by ApplyDelta. Memo tables, interner and
+	// base DB are all private to the engine, so an engine never observes
+	// facts from any other version.
 	version uint64
 
 	// mets is the metric set this engine reports into (never nil; defaults
@@ -479,8 +473,6 @@ func (e *Engine) ApplyDelta(asserts, retracts []string) error {
 	if err := e.applyDeltaCompiled(cadd, crem, cone); err != nil {
 		return err
 	}
-	// The private answer cache keys on the data version; bumping it makes
-	// pre-delta entries unreachable without flushing the whole cache.
 	e.version++
 	return nil
 }
@@ -561,53 +553,29 @@ func coneFromGraph(g *depgraph.Graph, syms *symbols.Table, seeds []ast.PredSig) 
 
 // New builds an engine for a program.
 func New(p *Program, opts Options) (*Engine, error) {
-	dom, domSet := domainInfo(p, opts)
-	mode := opts.Mode
-	if mode == ModeAuto {
-		if p.strt != nil {
-			mode = ModeCascade
-		} else {
-			mode = ModeUniform
-		}
+	sub, err := newSubstrate(p)
+	if err != nil {
+		return nil, err
 	}
-	mets := opts.metricSet()
-	var ac *cache.Cache
-	if opts.CacheBytes > 0 {
-		ac = cache.New(opts.CacheBytes, mets)
-	}
-	switch mode {
-	case ModeUniform:
-		uni := engine.NewUniform(p.comp, dom, topdown.Options{
-			MaxGoals:  opts.MaxGoals,
-			NoTabling: opts.NoTabling,
-			NoPlanner: opts.NoPlanner,
-		})
-		mem := newMemTracker(opts.MaxMemoryBytes, uni.Interner(), uni.Base())
-		uni.SetMem(mem)
-		return wrapDemand(&Engine{prog: p, asker: uni, uni: uni, domSet: domSet, cache: ac, mets: mets, mem: mem}, p, opts), nil
-	case ModeCascade:
-		if p.strt == nil {
-			return nil, fmt.Errorf("hypo: cascade mode needs a linear stratification: %w", p.serr)
-		}
-		cas, err := engine.NewCascade(p.comp, p.strt, dom)
-		if err != nil {
-			return nil, err
-		}
-		mem := newMemTracker(opts.MaxMemoryBytes, cas.Interner(), cas.Base())
-		cas.SetMemTracker(mem)
-		return wrapDemand(&Engine{prog: p, asker: cas, cas: cas, domSet: domSet, cache: ac, mets: mets, mem: mem}, p, opts), nil
-	default:
-		return nil, fmt.Errorf("hypo: unknown mode %d", mode)
-	}
+	return assemble(p, opts, sub.db)
 }
 
 // newFromSubstrate builds an engine whose interner and base database are
 // private clones of a shared per-version substrate (see Pool), skipping
-// the per-engine fact re-interning that New performs. The clones keep
-// the substrate's atom-id assignment, so deltas interned against one
-// engine's interner carry over to any sibling cloned from the same
-// substrate.
-func newFromSubstrate(p *Program, opts Options, subIn *facts.Interner, subDB *facts.DB) (*Engine, error) {
+// the fact interning that New performs. The clones keep the substrate's
+// atom-id assignment, so deltas interned against one engine's interner
+// carry over to any sibling cloned from the same substrate.
+func newFromSubstrate(p *Program, opts Options, sub *substrate) (*Engine, error) {
+	return assemble(p, opts, sub.db.CloneFor(sub.in.Clone()))
+}
+
+// assemble builds an engine in the mode opts resolves to over base, which
+// already holds the program's facts and owns the engine's interner. One
+// memory tracker serves every component. Demand-driven engines wrap the
+// asker in an engine.Demand that answers ground goals through the
+// program's magic-transformed rewrite and falls back to the wrapped
+// engine everywhere else.
+func assemble(p *Program, opts Options, base *facts.DB) (*Engine, error) {
 	dom, domSet := domainInfo(p, opts)
 	mode := opts.Mode
 	if mode == ModeAuto {
@@ -617,23 +585,16 @@ func newFromSubstrate(p *Program, opts Options, subIn *facts.Interner, subDB *fa
 			mode = ModeUniform
 		}
 	}
-	mets := opts.metricSet()
-	var ac *cache.Cache
-	if opts.CacheBytes > 0 {
-		ac = cache.New(opts.CacheBytes, mets)
-	}
-	in := subIn.Clone()
-	base := subDB.CloneFor(in)
+	e := &Engine{prog: p, domSet: domSet, mets: opts.metricSet(), mem: newMemTracker(opts.MaxMemoryBytes, base.Interner(), base)}
 	switch mode {
 	case ModeUniform:
-		uni := topdown.NewWithBase(p.comp, base, dom, topdown.Options{
+		e.uni = topdown.NewWithBase(p.comp, base, dom, topdown.Options{
 			MaxGoals:  opts.MaxGoals,
 			NoTabling: opts.NoTabling,
 			NoPlanner: opts.NoPlanner,
 		})
-		mem := newMemTracker(opts.MaxMemoryBytes, in, base)
-		uni.SetMem(mem)
-		return wrapDemand(&Engine{prog: p, asker: uni, uni: uni, domSet: domSet, cache: ac, mets: mets, mem: mem}, p, opts), nil
+		e.uni.SetMem(e.mem)
+		e.asker = e.uni
 	case ModeCascade:
 		if p.strt == nil {
 			return nil, fmt.Errorf("hypo: cascade mode needs a linear stratification: %w", p.serr)
@@ -642,27 +603,17 @@ func newFromSubstrate(p *Program, opts Options, subIn *facts.Interner, subDB *fa
 		if err != nil {
 			return nil, err
 		}
-		mem := newMemTracker(opts.MaxMemoryBytes, in, base)
-		cas.SetMemTracker(mem)
-		return wrapDemand(&Engine{prog: p, asker: cas, cas: cas, domSet: domSet, cache: ac, mets: mets, mem: mem}, p, opts), nil
+		cas.SetMemTracker(e.mem)
+		e.cas, e.asker = cas, cas
 	default:
 		return nil, fmt.Errorf("hypo: unknown mode %d", mode)
 	}
-}
-
-// wrapDemand turns on demand-driven evaluation for a freshly built
-// engine when requested: the asker is wrapped in an engine.Demand that
-// answers ground goals through the program's magic-transformed rewrite
-// and falls back to the wrapped engine everywhere else.
-func wrapDemand(e *Engine, p *Program, opts Options) *Engine {
-	if !opts.DemandDriven {
-		return e
+	if opts.DemandDriven {
+		e.dem = engine.NewDemand(e.asker, p.demand(), p.comp, e.mets)
+		e.dem.SetMem(e.mem)
+		e.asker = e.dem
 	}
-	d := engine.NewDemand(e.asker, p.demand(), p.comp, e.mets)
-	d.SetMem(e.mem)
-	e.asker = d
-	e.dem = d
-	return e
+	return e, nil
 }
 
 // domainInfo computes dom(R, DB) plus Options.ExtraDomain, as both the
@@ -699,47 +650,7 @@ func (e *Engine) Ask(query string) (bool, error) {
 // ErrCanceled or ErrDeadline within a bounded number of goal expansions.
 // An Engine is single-flight — the context governs the one running query.
 func (e *Engine) AskCtx(ctx context.Context, query string) (bool, error) {
-	fin := e.track()
-	ok, err := e.askCtx(ctx, query)
-	fin(err)
-	return ok, err
-}
-
-func (e *Engine) askCtx(ctx context.Context, query string) (bool, error) {
-	pr, err := parser.ParsePremise(query)
-	if err != nil {
-		return false, err
-	}
-	cpr, names, err := compilePremiseChecked(pr, e.prog.syms, e.domSet)
-	if err != nil {
-		return false, err
-	}
-	if len(names) > 0 {
-		return false, fmt.Errorf("hypo: Ask needs a ground query; use Query for %q", query)
-	}
-	if e.cache == nil {
-		ok, err := e.asker.AskPremiseCtx(ctx, cpr, e.asker.EmptyState())
-		return ok, e.enrich(err)
-	}
-	return e.cachedBool(ctx, e.ckey(askCacheKey(pr)), func() (bool, error) {
-		return e.asker.AskPremiseCtx(ctx, cpr, e.asker.EmptyState())
-	})
-}
-
-// cachedBool memoises a ground answer in the engine's private cache
-// keyed at the engine's data version.
-func (e *Engine) cachedBool(ctx context.Context, key string, eval func() (bool, error)) (bool, error) {
-	v, _, err := e.cache.Do(ctx, cache.Key{Version: e.version, Query: key}, func() (cache.Computed, error) {
-		ok, err := eval()
-		if err != nil {
-			return cache.Computed{}, e.enrich(err)
-		}
-		return cache.Computed{Val: ok, Bytes: boolAnswerBytes, Store: true}, nil
-	})
-	if err != nil {
-		return false, wrapCacheWait(err)
-	}
-	return v.(bool), nil
+	return e.read(ctx, readAsk, query, nil, nil)
 }
 
 // Binding is one answer to a non-ground query: variable name to constant.
@@ -754,15 +665,8 @@ func (e *Engine) Query(query string) ([]Binding, error) {
 
 // QueryCtx is Query under a context; see AskCtx for abort semantics.
 func (e *Engine) QueryCtx(ctx context.Context, query string) ([]Binding, error) {
-	fin := e.track()
-	bs, err := e.queryCtx(ctx, query)
-	fin(err)
-	return bs, err
-}
-
-func (e *Engine) queryCtx(ctx context.Context, query string) ([]Binding, error) {
 	var out []Binding
-	err := e.queryEachCtx(ctx, query, func(b Binding) error {
+	err := e.QueryEachCtx(ctx, query, func(b Binding) error {
 		out = append(out, b)
 		return nil
 	})
@@ -785,63 +689,8 @@ func (e *Engine) QueryEach(query string, yield func(Binding) error) error {
 // error from yield stops the enumeration and is returned verbatim;
 // evaluation aborts surface as *AbortError like QueryCtx.
 func (e *Engine) QueryEachCtx(ctx context.Context, query string, yield func(Binding) error) error {
-	fin := e.track()
-	err := e.queryEachCtx(ctx, query, yield)
-	fin(err)
+	_, err := e.read(ctx, readQuery, query, nil, yield)
 	return err
-}
-
-func (e *Engine) queryEachCtx(ctx context.Context, query string, yield func(Binding) error) error {
-	pr, err := parser.ParsePremise(query)
-	if err != nil {
-		return err
-	}
-	cpr, names, err := compilePremiseLoose(pr, e.prog.syms)
-	if err != nil {
-		return err
-	}
-	if e.cache == nil {
-		return e.enrich(e.queryEachCompiledCtx(ctx, cpr, names, yield))
-	}
-	v, st, err := e.cache.Do(ctx, cache.Key{Version: e.version, Query: e.ckey(queryCacheKey(pr))}, func() (cache.Computed, error) {
-		// Leader: stream each binding to yield as it is proved while
-		// also materialising the answer set for the cache. A yield abort
-		// surfaces verbatim and caches nothing — the set is partial.
-		acc := []Binding{}
-		err := e.queryEachCompiledCtx(ctx, cpr, names, func(b Binding) error {
-			acc = append(acc, b)
-			return yield(b)
-		})
-		if err != nil {
-			return cache.Computed{}, e.enrich(err)
-		}
-		return cache.Computed{Val: acc, Bytes: bindingsBytes(acc), Store: true}, nil
-	})
-	if err != nil {
-		return wrapCacheWait(err)
-	}
-	if st == cache.Miss {
-		return nil // already streamed during evaluation
-	}
-	for _, b := range v.([]Binding) {
-		if err := yield(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// queryEachCompiledCtx is the streaming core shared by QueryCtx and
-// QueryEachCtx: solutions come straight off the enumerator, are rendered
-// to surface-name bindings, and handed to yield one at a time.
-func (e *Engine) queryEachCompiledCtx(ctx context.Context, cpr ast.CPremise, names []string, yield func(Binding) error) error {
-	return engine.SolutionsEachCtx(ctx, e.asker, cpr, len(names), e.asker.EmptyState(), func(s engine.Solution) error {
-		b := make(Binding, len(names))
-		for slot, name := range names {
-			b[name] = e.prog.syms.ConstName(s[slot])
-		}
-		return yield(b)
-	})
 }
 
 // AskUnder evaluates a ground query in a database hypothetically extended
@@ -854,89 +703,60 @@ func (e *Engine) AskUnder(query string, added ...string) (bool, error) {
 // AskUnderCtx is AskUnder under a context; see AskCtx for abort
 // semantics.
 func (e *Engine) AskUnderCtx(ctx context.Context, query string, added ...string) (bool, error) {
-	fin := e.track()
-	ok, err := e.askUnderCtx(ctx, query, added)
-	fin(err)
-	return ok, err
+	return e.read(ctx, readAskUnder, query, added, nil)
 }
 
-func (e *Engine) askUnderCtx(ctx context.Context, query string, added []string) (bool, error) {
-	pr, adds, key, err := compileAskUnder(query, added, e.prog.syms, e.domSet)
+// read is the engine's one read path: compile, evaluate, and account the
+// call in the engine's metric set.
+func (e *Engine) read(ctx context.Context, kind readKind, query string, added []string, yield func(Binding) error) (ok bool, err error) {
+	fin := e.track()
+	defer func() { fin(err) }()
+	rd, err := compileRead(kind, query, added, e.prog.syms, e.domSet)
 	if err != nil {
 		return false, err
 	}
-	if e.cache == nil {
-		ok, err := e.askUnderCompiled(ctx, pr, adds)
-		return ok, e.enrich(err)
-	}
-	return e.cachedBool(ctx, e.ckey(key), func() (bool, error) {
-		return e.askUnderCompiled(ctx, pr, adds)
-	})
+	ok, err = e.eval(ctx, &rd, yield)
+	return ok, e.enrich(err)
 }
 
-// askUnderCompiled runs a pre-compiled AskUnder; like queryCompiledCtx it
-// never touches the shared symbol table.
-func (e *Engine) askUnderCompiled(ctx context.Context, pr ast.CPremise, adds []ast.CAtom) (bool, error) {
+// eval evaluates a compiled read in the engine's base extended by the
+// read's adds. A ground read returns its answer; a query streams each
+// binding to yield in enumeration order. It never touches the shared
+// symbol table.
+func (e *Engine) eval(ctx context.Context, rd *compiledRead, yield func(Binding) error) (bool, error) {
 	st := e.asker.EmptyState()
-	for _, ca := range adds {
+	if rd.kind == readQuery {
+		return false, engine.SolutionsEachCtx(ctx, e.asker, rd.cpr, len(rd.names), st, func(s engine.Solution) error {
+			b := make(Binding, len(rd.names))
+			for slot, name := range rd.names {
+				b[name] = e.prog.syms.ConstName(s[slot])
+			}
+			return yield(b)
+		})
+	}
+	for _, ca := range rd.adds {
 		st = st.Add(e.asker.Interner().InternGround(ca))
 	}
-	return e.asker.AskPremiseCtx(ctx, pr, st)
-}
-
-// compileAskUnder compiles an AskUnder query and its added atoms,
-// domain-validating everything before any interning. The third result is
-// the canonical answer-cache key for the operation (kind, rendered
-// premise, sorted adds).
-func compileAskUnder(query string, added []string, syms *symbols.Table, domSet map[symbols.Const]bool) (ast.CPremise, []ast.CAtom, string, error) {
-	adds := make([]ast.CAtom, 0, len(added))
-	surface := make([]ast.Atom, 0, len(added))
-	for _, src := range added {
-		a, err := parser.ParseAtom(src)
-		if err != nil {
-			return ast.CPremise{}, nil, "", err
-		}
-		if !a.IsGround() {
-			return ast.CPremise{}, nil, "", fmt.Errorf("hypo: added atom %q is not ground", src)
-		}
-		if err := checkAtomDomain(a, syms, domSet); err != nil {
-			return ast.CPremise{}, nil, "", err
-		}
-		ca, err := compileGroundAtom(a, syms)
-		if err != nil {
-			return ast.CPremise{}, nil, "", err
-		}
-		adds = append(adds, ca)
-		surface = append(surface, a)
-	}
-	pr, err := parser.ParsePremise(query)
-	if err != nil {
-		return ast.CPremise{}, nil, "", err
-	}
-	cpr, names, err := compilePremiseChecked(pr, syms, domSet)
-	if err != nil {
-		return ast.CPremise{}, nil, "", err
-	}
-	if len(names) > 0 {
-		return ast.CPremise{}, nil, "", fmt.Errorf("hypo: AskUnder needs a ground query")
-	}
-	return cpr, adds, askUnderCacheKey(pr, surface), nil
+	return e.asker.AskPremiseCtx(ctx, rd.cpr, st)
 }
 
 // Explain returns a rendered derivation tree for a provable ground query
 // (plain atoms only), or "" when the query does not hold. Only the
 // uniform engine supports explanations.
 func (e *Engine) Explain(query string) (string, error) {
+	return e.explainCtx(context.Background(), query)
+}
+
+// explainCtx is Explain bounded by ctx for the whole proof search.
+func (e *Engine) explainCtx(ctx context.Context, query string) (string, error) {
 	if e.uni == nil {
 		return "", fmt.Errorf("hypo: Explain requires ModeUniform")
 	}
-	pr, names, err := compileQueryChecked(query, e.prog.syms, e.domSet)
+	rd, err := compileRead(readAsk, query, nil, e.prog.syms, e.domSet)
 	if err != nil {
 		return "", err
 	}
-	if len(names) > 0 {
-		return "", fmt.Errorf("hypo: Explain needs a ground query")
-	}
+	pr := rd.cpr
 	st := e.uni.EmptyState()
 	switch pr.Kind {
 	case ast.Plain:
@@ -951,7 +771,7 @@ func (e *Engine) Explain(query string) (string, error) {
 	default:
 		return "", fmt.Errorf("hypo: Explain supports plain and hypothetical queries")
 	}
-	proof, err := e.uni.Explain(e.uni.Interner().InternGround(pr.Atom), st)
+	proof, err := e.uni.ExplainCtx(ctx, e.uni.Interner().InternGround(pr.Atom), st)
 	if err != nil {
 		return "", err
 	}
@@ -986,46 +806,75 @@ func (e *Engine) Stats() topdown.Stats {
 	return sum
 }
 
-// compileQueryChecked parses a query premise, domain-validates it, and
-// only then compiles (interns) it. Validation happens on the surface form
-// via read-only symbol lookups, so a rejected query never grows the
-// shared symbol table — a stream of bad queries against one Program
-// cannot leak interned garbage into every engine sharing it.
-func compileQueryChecked(query string, syms *symbols.Table, domSet map[symbols.Const]bool) (ast.CPremise, []string, error) {
+// readKind is the operation a read performs. Its text prefixes the
+// read's answer-cache key, so the kinds never share entries.
+type readKind string
+
+const (
+	readAsk      readKind = "a"
+	readAskUnder readKind = "u"
+	readQuery    readKind = "q"
+)
+
+// compiledRead is one compiled read. By Definition 3, AskUnder(q, B…) is
+// the premise q[add: B…] and Ask(q) is the same premise with no adds; a
+// query is a premise with variables, enumerated over dom(R, DB). The
+// answer's carry-forward predicates (premisePreds) are derived only on a
+// cache miss, so a hit never pays for them.
+type compiledRead struct {
+	kind  readKind
+	cpr   ast.CPremise
+	adds  []ast.CAtom // AskUnder's added atoms
+	names []string    // a query's variables, by solution slot
+	key   string      // answer-cache key, before the demand namespace
+}
+
+// compileRead parses and compiles one read against the shared symbol
+// table. A ground read is domain-validated on its surface form, via
+// read-only symbol lookups, before anything is interned, so a stream of
+// rejected queries cannot leak interned garbage into every engine sharing
+// the program; it must have no variables. A query skips the domain check:
+// it answers over dom(R, DB) bindings anyway, so an out-of-domain constant
+// merely yields zero rows rather than a wrong answer.
+func compileRead(kind readKind, query string, added []string, syms *symbols.Table, domSet map[symbols.Const]bool) (compiledRead, error) {
+	rd := compiledRead{kind: kind, adds: make([]ast.CAtom, 0, len(added))}
+	surface := make([]ast.Atom, 0, len(added))
+	for _, src := range added {
+		a, err := parser.ParseAtom(src)
+		if err != nil {
+			return compiledRead{}, err
+		}
+		if !a.IsGround() {
+			return compiledRead{}, fmt.Errorf("hypo: added atom %q is not ground", src)
+		}
+		if err := checkAtomDomain(a, syms, domSet); err != nil {
+			return compiledRead{}, err
+		}
+		ca, err := compileGroundAtom(a, syms)
+		if err != nil {
+			return compiledRead{}, err
+		}
+		rd.adds = append(rd.adds, ca)
+		surface = append(surface, a)
+	}
 	pr, err := parser.ParsePremise(query)
 	if err != nil {
-		return ast.CPremise{}, nil, err
+		return compiledRead{}, err
 	}
-	return compilePremiseChecked(pr, syms, domSet)
-}
-
-// compilePremiseChecked is the compile half of compileQueryChecked for
-// callers that parse the premise themselves (the cached read paths keep
-// the parsed form to canonicalise their cache keys).
-func compilePremiseChecked(pr ast.Premise, syms *symbols.Table, domSet map[symbols.Const]bool) (ast.CPremise, []string, error) {
-	if err := checkQueryDomain(pr, syms, domSet); err != nil {
-		return ast.CPremise{}, nil, err
+	if kind != readQuery {
+		if err := checkQueryDomain(pr, syms, domSet); err != nil {
+			return compiledRead{}, err
+		}
 	}
 	vars := map[string]int{}
-	var names []string
-	cpr, err := ast.CompilePremise(pr, syms, vars, &names)
-	if err != nil {
-		return ast.CPremise{}, nil, err
+	if rd.cpr, err = ast.CompilePremise(pr, syms, vars, &rd.names); err != nil {
+		return compiledRead{}, err
 	}
-	return cpr, names, nil
-}
-
-// compilePremiseLoose is compilePremiseChecked without the domain check —
-// Query answers over dom(R, DB) bindings anyway, so an out-of-domain
-// constant merely yields zero rows rather than a wrong answer.
-func compilePremiseLoose(pr ast.Premise, syms *symbols.Table) (ast.CPremise, []string, error) {
-	vars := map[string]int{}
-	var names []string
-	cpr, err := ast.CompilePremise(pr, syms, vars, &names)
-	if err != nil {
-		return ast.CPremise{}, nil, err
+	if kind != readQuery && len(rd.names) > 0 {
+		return compiledRead{}, fmt.Errorf("hypo: %q is not ground; use Query for open queries", query)
 	}
-	return cpr, names, nil
+	rd.key = cacheKey(kind, pr, surface)
+	return rd, nil
 }
 
 // checkQueryDomain rejects queries mentioning constants outside

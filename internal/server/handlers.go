@@ -11,6 +11,7 @@ import (
 	hypo "hypodatalog"
 	"hypodatalog/internal/live"
 	"hypodatalog/internal/tenant"
+	"hypodatalog/internal/topdown"
 )
 
 // errClientWrite marks a failed write to the response stream: the client
@@ -159,21 +160,6 @@ func (s *Server) timeoutFor(spec string) (time.Duration, error) {
 	return d, nil
 }
 
-// statsDelta is the evaluation work done between two Engine.Stats
-// snapshots of the same engine.
-func statsDelta(before, after hypo.Stats) hypo.Stats {
-	return hypo.Stats{
-		Goals:      after.Goals - before.Goals,
-		TableHits:  after.TableHits - before.TableHits,
-		LoopCuts:   after.LoopCuts - before.LoopCuts,
-		Enumerated: after.Enumerated - before.Enumerated,
-		NegCalls:   after.NegCalls - before.NegCalls,
-		MaxDepth:   after.MaxDepth,
-		TableSize:  after.TableSize,
-		MemBytes:   after.MemBytes - before.MemBytes,
-	}
-}
-
 // classify maps an evaluation error to its HTTP status, error kind and
 // log outcome. The boolean reports whether a response should be written
 // at all (false for client-gone cases).
@@ -224,39 +210,27 @@ func (s *Server) run(ctx context.Context, ri *reqInfo, t *tenant.Tenant, fn func
 	return t.Pool().Do(ctx, func(e *hypo.Engine) error {
 		ri.dataVersion = e.DataVersion()
 		before := e.Stats()
-		defer func() { ri.stats = statsDelta(before, e.Stats()) }()
+		defer func() { ri.stats = topdown.StatsDelta(before, e.Stats()) }()
 		return fn(e)
 	})
 }
 
+// handleAsk serves /v1/ask and /v1/askunder: it evaluates a ground ask,
+// under the request's hypothetical adds on /v1/askunder, and answers
+// {"result": bool}. It goes through the pool's Info methods so the
+// answer cache sits above the engine lease: a hit or coalesced read
+// still takes an admission slot (it is HTTP work) but no engine.
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant) {
 	var req askRequest
 	if !s.decode(w, r, ri, &req) {
 		return
 	}
 	ri.query = req.Query
-	if len(req.Add) > 0 {
+	if ri.endpoint == "ask" && len(req.Add) > 0 {
 		ri.outcome = "bad_request"
 		writeError(w, http.StatusBadRequest, "bad_request", `"add" is for /v1/askunder`)
 		return
 	}
-	s.answerAsk(w, r, ri, t, req)
-}
-
-func (s *Server) handleAskUnder(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant) {
-	var req askRequest
-	if !s.decode(w, r, ri, &req) {
-		return
-	}
-	ri.query = req.Query
-	s.answerAsk(w, r, ri, t, req)
-}
-
-// answerAsk evaluates a ground ask (optionally under hypothetical adds)
-// and answers {"result": bool}. It goes through the pool's Info methods
-// so the answer cache sits above the engine lease: a hit or coalesced
-// read still takes an admission slot (it is HTTP work) but no engine.
-func (s *Server) answerAsk(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant, req askRequest) {
 	d, err := s.timeoutFor(req.Timeout)
 	if err != nil {
 		ri.outcome = "bad_request"

@@ -283,14 +283,14 @@ func New(cfg Config) (*Server, error) {
 	// Un-prefixed routes alias the default program.
 	s.mux.HandleFunc("POST /v1/ask", s.wrap("ask", false, s.handleAsk))
 	s.mux.HandleFunc("POST /v1/query", s.wrap("query", false, s.handleQuery))
-	s.mux.HandleFunc("POST /v1/askunder", s.wrap("askunder", false, s.handleAskUnder))
+	s.mux.HandleFunc("POST /v1/askunder", s.wrap("askunder", false, s.handleAsk))
 	s.mux.HandleFunc("POST /v1/batch", s.wrap("batch", false, s.handleBatch))
 	s.mux.HandleFunc("POST /v1/explain", s.wrap("explain", false, s.handleExplain))
 	s.mux.HandleFunc("POST /v1/facts", s.wrap("facts", false, s.handleFacts))
 	// Tenant-qualified routes.
 	s.mux.HandleFunc("POST /v1/programs/{name}/ask", s.wrap("ask", true, s.handleAsk))
 	s.mux.HandleFunc("POST /v1/programs/{name}/query", s.wrap("query", true, s.handleQuery))
-	s.mux.HandleFunc("POST /v1/programs/{name}/askunder", s.wrap("askunder", true, s.handleAskUnder))
+	s.mux.HandleFunc("POST /v1/programs/{name}/askunder", s.wrap("askunder", true, s.handleAsk))
 	s.mux.HandleFunc("POST /v1/programs/{name}/batch", s.wrap("batch", true, s.handleBatch))
 	s.mux.HandleFunc("POST /v1/programs/{name}/explain", s.wrap("explain", true, s.handleExplain))
 	s.mux.HandleFunc("POST /v1/programs/{name}/facts", s.wrap("facts", true, s.handleFacts))

@@ -1,6 +1,7 @@
 package topdown
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -91,6 +92,19 @@ func (p *Proof) Size() int {
 // when the goal does not hold. It reuses the engine's memo table, so
 // explaining after asking is cheap.
 func (e *Engine) Explain(goal facts.AtomID, st facts.State) (*Proof, error) {
+	return e.ExplainCtx(context.Background(), goal, st)
+}
+
+// ExplainCtx is Explain with cancellation; see AskCtx. ctx covers the
+// whole call: the proof search and the reconstruction's re-proofs.
+func (e *Engine) ExplainCtx(ctx context.Context, goal facts.AtomID, st facts.State) (*Proof, error) {
+	restore, err := e.pushCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if restore != nil {
+		defer restore()
+	}
 	ok, err := e.Ask(goal, st)
 	if err != nil {
 		return nil, err

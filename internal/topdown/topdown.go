@@ -138,6 +138,22 @@ type Stats struct {
 	MemBytes   int64 // tracked footprint growth since the query began
 }
 
+// StatsDelta is the evaluation work between two Stats snapshots of one
+// engine: counters are differenced, the MaxDepth and TableSize gauges
+// keep their later reading.
+func StatsDelta(before, after Stats) Stats {
+	return Stats{
+		Goals:      after.Goals - before.Goals,
+		TableHits:  after.TableHits - before.TableHits,
+		LoopCuts:   after.LoopCuts - before.LoopCuts,
+		Enumerated: after.Enumerated - before.Enumerated,
+		NegCalls:   after.NegCalls - before.NegCalls,
+		MaxDepth:   after.MaxDepth,
+		TableSize:  after.TableSize,
+		MemBytes:   after.MemBytes - before.MemBytes,
+	}
+}
+
 // Engine proves ground goals against hypothetical states.
 // An Engine is not safe for concurrent use.
 type Engine struct {
