@@ -18,10 +18,12 @@ import (
 // went away mid-stream. It is logged as 499, never sent.
 var errClientWrite = errors.New("server: client write failed")
 
-// askRequest is the body of /v1/ask and /v1/askunder. Timeout is a Go
-// duration string ("250ms", "2s") bounding evaluation; it is clamped to
-// Config.MaxTimeout and defaults to Config.DefaultTimeout.
-type askRequest struct {
+// readRequest is the body of every read endpoint: /v1/ask,
+// /v1/askunder, /v1/query and /v1/explain. Add (hypothetical facts) is
+// for /v1/askunder only. Timeout is a Go duration string ("250ms", "2s")
+// bounding evaluation; it is clamped to Config.MaxTimeout and defaults
+// to Config.DefaultTimeout.
+type readRequest struct {
 	Query   string   `json:"query"`
 	Add     []string `json:"add,omitempty"`
 	Timeout string   `json:"timeout,omitempty"`
@@ -34,10 +36,12 @@ type askResponse struct {
 	DataVersion uint64 `json:"dataVersion"`
 }
 
-// queryRequest is the body of /v1/query.
-type queryRequest struct {
-	Query   string `json:"query"`
-	Timeout string `json:"timeout,omitempty"`
+// explainResponse carries the rendered proof tree. Provable false means
+// the query has no derivation at this data version; Proof is then "".
+type explainResponse struct {
+	Provable    bool   `json:"provable"`
+	Proof       string `json:"proof,omitempty"`
+	DataVersion uint64 `json:"dataVersion"`
 }
 
 // The NDJSON lines of a /v1/query response: zero or more binding lines,
@@ -113,10 +117,77 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, kind, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+// reject writes the error response {"error": {"kind", "message"}} and
+// records kind as the request's access-log outcome, so the log and the
+// body cannot disagree. Once the response has begun (a /v1/query stream
+// past its first binding) the error goes in-band, as the stream's last
+// line. Status 499 (the client is gone) writes nothing.
+func reject(w http.ResponseWriter, ri *reqInfo, status int, kind, msg string) {
+	ri.outcome = kind
+	if status == statusClientClosed {
+		ri.status = status
+		return
+	}
+	if sw, ok := w.(*statusWriter); !ok || !sw.wrote {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+	}
 	_ = json.NewEncoder(w).Encode(errorLine{Error: errorBody{Kind: kind, Message: msg}})
+}
+
+// classify is the server's one error table. It maps an evaluation abort,
+// an admission refusal or a live-store error to its HTTP status, error
+// kind and message (a fixed one, or err's text), and reports whether the
+// response carries Retry-After: every 429, and every 503 a client should
+// retry here. Status 499 means the client is gone.
+func classify(err error) (status int, kind, msg string, retry bool) {
+	msg = err.Error()
+	switch {
+	case errors.Is(err, errClientWrite), errors.Is(err, hypo.ErrCanceled),
+		errors.Is(err, context.Canceled):
+		return statusClientClosed, "canceled", msg, false
+	case errors.Is(err, hypo.ErrDeadline):
+		return http.StatusGatewayTimeout, "deadline", msg, false
+	case errors.Is(err, context.DeadlineExceeded): // Admit's bare ctx error
+		return http.StatusGatewayTimeout, "deadline", "request deadline expired while waiting for an evaluation slot", false
+	case errors.Is(err, hypo.ErrMemory):
+		return http.StatusUnprocessableEntity, "memory", msg, false
+	case errors.Is(err, hypo.ErrBudget):
+		return http.StatusUnprocessableEntity, "budget", msg, false
+	case errors.Is(err, tenant.ErrShed):
+		return http.StatusTooManyRequests, "shed", "program at capacity: evaluation slots and admission queue are full", true
+	case errors.Is(err, tenant.ErrOverMemory):
+		return http.StatusServiceUnavailable, "over_memory", "program over its memory quota: " + msg, true
+	case errors.Is(err, tenant.ErrOverDisk):
+		// Disk quota gates only the write path: reads keep working, so the
+		// client should retract or wait for compaction, then retry.
+		return http.StatusServiceUnavailable, "over_disk", msg, true
+	case errors.Is(err, tenant.ErrDraining), errors.Is(err, tenant.ErrClosed),
+		errors.Is(err, hypo.ErrPoolClosed):
+		return http.StatusServiceUnavailable, "draining", "server is draining", true
+	case errors.Is(err, live.ErrClosed):
+		return http.StatusServiceUnavailable, "draining", "live store is closed", true
+	case errors.Is(err, live.ErrReadOnly):
+		// A degraded store refuses writes but keeps serving reads; the kind
+		// lets clients fail over their write path without abandoning this
+		// node for queries. Retrying here will not help.
+		return http.StatusServiceUnavailable, "read_only", msg, false
+	}
+	return http.StatusBadRequest, "bad_request", msg, false
+}
+
+// fail answers err through the error table, folding an abort's partial
+// work snapshot into the access log.
+func fail(w http.ResponseWriter, ri *reqInfo, err error) {
+	var ae *hypo.AbortError
+	if errors.As(err, &ae) && ri.stats == (hypo.Stats{}) {
+		ri.stats = ae.Stats
+	}
+	status, kind, msg, retry := classify(err)
+	if retry {
+		w.Header().Set("Retry-After", retryAfter)
+	}
+	reject(w, ri, status, kind, msg)
 }
 
 // decode reads the size-capped JSON body into v, answering 413 for an
@@ -128,226 +199,129 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, ri *reqInfo, v a
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			ri.outcome = "too_large"
-			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			reject(w, ri, http.StatusRequestEntityTooLarge, "too_large",
 				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return false
+		} else {
+			reject(w, ri, http.StatusBadRequest, "bad_request", "malformed request: "+err.Error())
 		}
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", "malformed request: "+err.Error())
 		return false
 	}
 	return true
 }
 
-// timeoutFor resolves a request's evaluation deadline: the parsed
-// "timeout" field if present, else the default, clamped to the max.
-func (s *Server) timeoutFor(spec string) (time.Duration, error) {
+// admit is the prologue of every evaluating request: it resolves the
+// deadline (the "timeout" field, else the default, clamped to the max),
+// gates on X-Hdl-Min-Version, then reserves an evaluation slot on the
+// tenant's admission quota. On success the caller must call done, which
+// releases the slot and the deadline; on failure the response is written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant, timeout string) (ctx context.Context, done func(), ok bool) {
 	d := s.cfg.DefaultTimeout
-	if spec != "" {
+	if timeout != "" {
 		var err error
-		d, err = time.ParseDuration(spec)
+		if d, err = time.ParseDuration(timeout); err == nil && d <= 0 {
+			err = errors.New("must be positive")
+		}
 		if err != nil {
-			return 0, fmt.Errorf("bad timeout %q: %v", spec, err)
-		}
-		if d <= 0 {
-			return 0, fmt.Errorf("bad timeout %q: must be positive", spec)
+			reject(w, ri, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad timeout %q: %v", timeout, err))
+			return nil, nil, false
 		}
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
+	ctx, cancel := context.WithTimeout(r.Context(), min(d, s.cfg.MaxTimeout))
+	if !s.gateMinVersion(ctx, w, r, ri, t) {
+		cancel()
+		return nil, nil, false
 	}
-	return d, nil
-}
-
-// classify maps an evaluation error to its HTTP status, error kind and
-// log outcome. The boolean reports whether a response should be written
-// at all (false for client-gone cases).
-func classify(err error) (status int, kind string, write bool) {
-	switch {
-	case errors.Is(err, errClientWrite), errors.Is(err, hypo.ErrCanceled),
-		errors.Is(err, context.Canceled):
-		return statusClientClosed, "canceled", false
-	case errors.Is(err, hypo.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "deadline", true
-	case errors.Is(err, hypo.ErrMemory):
-		return http.StatusUnprocessableEntity, "memory", true
-	case errors.Is(err, hypo.ErrBudget):
-		return http.StatusUnprocessableEntity, "budget", true
-	case errors.Is(err, hypo.ErrPoolClosed):
-		return http.StatusServiceUnavailable, "draining", true
-	default:
-		return http.StatusBadRequest, "bad_request", true
-	}
-}
-
-// evalError answers a failed evaluation, folding the abort's partial
-// work snapshot into the access log.
-func (s *Server) evalError(w http.ResponseWriter, ri *reqInfo, err error) {
-	var ae *hypo.AbortError
-	if errors.As(err, &ae) && ri.stats == (hypo.Stats{}) {
-		ri.stats = ae.Stats
-	}
-	status, kind, write := classify(err)
-	ri.outcome = kind
-	if !write {
-		ri.status = status
-		return
-	}
-	writeError(w, status, kind, err.Error())
-}
-
-// run is the shared admit-lease-evaluate skeleton of the non-streaming
-// handlers: it reserves a slot on the tenant's admission quota, leases
-// an engine from the tenant's pool, runs fn with the engine and records
-// the evaluation-work delta.
-func (s *Server) run(ctx context.Context, ri *reqInfo, t *tenant.Tenant, fn func(e *hypo.Engine) error) error {
 	release, err := t.Admit(ctx)
 	if err != nil {
-		return err
+		cancel()
+		fail(w, ri, err)
+		return nil, nil, false
 	}
-	defer release()
-	return t.Pool().Do(ctx, func(e *hypo.Engine) error {
-		ri.dataVersion = e.DataVersion()
-		before := e.Stats()
-		defer func() { ri.stats = topdown.StatsDelta(before, e.Stats()) }()
-		return fn(e)
-	})
+	return ctx, func() { release(); cancel() }, true
 }
 
-// handleAsk serves /v1/ask and /v1/askunder: it evaluates a ground ask,
-// under the request's hypothetical adds on /v1/askunder, and answers
-// {"result": bool}. It goes through the pool's Info methods so the
-// answer cache sits above the engine lease: a hit or coalesced read
-// still takes an admission slot (it is HTTP work) but no engine.
-func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant) {
-	var req askRequest
+// handleRead serves the read endpoints — /v1/ask, /v1/askunder,
+// /v1/query and /v1/explain — as one premise evaluated over a
+// hypothetical state: decode, admit, one pool read, answer. The pool's
+// read methods put the answer cache above the engine lease, so a hit or
+// coalesced read takes an admission slot (it is HTTP work) but no
+// engine. An ask with no adds goes through AskInfoCtx, so its cache key
+// is the plain ask's.
+//
+// /v1/query streams NDJSON: one {"binding": {...}} line per answer as it
+// is proved, then a terminal {"done": true, "count": n} line. The
+// headers go out before the first binding; an error after it is
+// reported in-band as the terminal line, one before it with a proper
+// HTTP status.
+func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant) {
+	var req readRequest
 	if !s.decode(w, r, ri, &req) {
 		return
 	}
 	ri.query = req.Query
-	if ri.endpoint == "ask" && len(req.Add) > 0 {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", `"add" is for /v1/askunder`)
+	if len(req.Add) > 0 && ri.endpoint != "askunder" {
+		reject(w, ri, http.StatusBadRequest, "bad_request", `"add" is for /v1/askunder`)
 		return
 	}
-	d, err := s.timeoutFor(req.Timeout)
-	if err != nil {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	ctx, done, ok := s.admit(w, r, ri, t, req.Timeout)
+	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	if !s.gateMinVersion(ctx, w, r, ri, t) {
-		return
-	}
-	release, err := t.Admit(ctx)
-	if err != nil {
-		s.refuse(w, ri, err)
-		return
-	}
-	defer release()
-	var result bool
+	defer done()
+	enc := json.NewEncoder(w)
+	contentType := "application/json"
 	var info hypo.ReadInfo
-	if len(req.Add) > 0 {
-		result, info, err = t.Pool().AskUnderInfoCtx(ctx, req.Query, req.Add...)
-	} else {
-		result, info, err = t.Pool().AskInfoCtx(ctx, req.Query)
+	var body any
+	var err error
+	switch ri.endpoint {
+	case "query":
+		contentType = "application/x-ndjson"
+		// QueryEachInfoCtx sets DataVersion and Cache before the first
+		// yield, so the headers can go out ahead of the stream.
+		err = t.Pool().QueryEachInfoCtx(ctx, req.Query, &info, func(b hypo.Binding) error {
+			if ri.bindings == 0 {
+				setHeaders(w, contentType, info.Cache)
+			}
+			if err := enc.Encode(bindingLine{Binding: b}); err != nil {
+				return fmt.Errorf("%w: %v", errClientWrite, err)
+			}
+			ri.bindings++
+			if f, ok := w.(http.Flusher); ok {
+				f.Flush()
+			}
+			return nil
+		})
+		body = doneLine{Done: true, Count: ri.bindings, DataVersion: info.DataVersion}
+	case "explain":
+		var proof string
+		proof, info, err = t.Pool().ExplainCtx(ctx, req.Query)
+		body = explainResponse{Provable: proof != "", Proof: proof, DataVersion: info.DataVersion}
+	default:
+		var result bool
+		if len(req.Add) > 0 {
+			result, info, err = t.Pool().AskUnderInfoCtx(ctx, req.Query, req.Add...)
+		} else {
+			result, info, err = t.Pool().AskInfoCtx(ctx, req.Query)
+		}
+		body = askResponse{Result: result, DataVersion: info.DataVersion}
 	}
-	ri.dataVersion = info.DataVersion
-	ri.stats = info.Stats
-	ri.cache = info.Cache
+	ri.dataVersion, ri.stats, ri.cache = info.DataVersion, info.Stats, info.Cache
 	if err != nil {
-		s.evalError(w, ri, err)
+		fail(w, ri, err)
 		return
 	}
-	setCacheHeader(w, info.Cache)
-	writeJSON(w, askResponse{Result: result, DataVersion: info.DataVersion})
+	setHeaders(w, contentType, info.Cache)
+	_ = enc.Encode(body)
 }
 
-// setCacheHeader surfaces how the answer cache served the request. The
-// header is absent when no cache is configured.
-func setCacheHeader(w http.ResponseWriter, st hypo.CacheStatus) {
+// setHeaders sets the response's Content-Type and X-Hdl-Cache, which
+// surfaces how the answer cache served the read (absent when no cache is
+// configured).
+func setHeaders(w http.ResponseWriter, contentType string, st hypo.CacheStatus) {
+	w.Header().Set("Content-Type", contentType)
 	if st != hypo.CacheBypass {
 		w.Header().Set("X-Hdl-Cache", st.String())
 	}
-}
-
-// handleQuery streams bindings as NDJSON: one {"binding": {...}} line
-// per answer as it is proved, then a terminal {"done": true, "count": n}
-// line — or an {"error": ...} line if evaluation aborted after the
-// stream began. Errors before the first binding use a proper HTTP
-// status instead.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, ri *reqInfo, t *tenant.Tenant) {
-	var req queryRequest
-	if !s.decode(w, r, ri, &req) {
-		return
-	}
-	ri.query = req.Query
-	d, err := s.timeoutFor(req.Timeout)
-	if err != nil {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	if !s.gateMinVersion(ctx, w, r, ri, t) {
-		return
-	}
-	release, err := t.Admit(ctx)
-	if err != nil {
-		s.refuse(w, ri, err)
-		return
-	}
-	defer release()
-
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	n := 0
-	var info hypo.ReadInfo
-	// QueryEachInfoCtx guarantees DataVersion and Cache are set before
-	// the first yield, so the headers can go out ahead of the stream.
-	err = t.Pool().QueryEachInfoCtx(ctx, req.Query, &info, func(b hypo.Binding) error {
-		if n == 0 {
-			setCacheHeader(w, info.Cache)
-			w.Header().Set("Content-Type", "application/x-ndjson")
-		}
-		if err := enc.Encode(bindingLine{Binding: b}); err != nil {
-			return fmt.Errorf("%w: %v", errClientWrite, err)
-		}
-		n++
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-	ri.bindings = n
-	ri.dataVersion = info.DataVersion
-	ri.stats = info.Stats
-	ri.cache = info.Cache
-	if err != nil {
-		if n == 0 {
-			s.evalError(w, ri, err)
-			return
-		}
-		// The stream is already under way as a 200; report the abort
-		// in-band as the terminal line.
-		_, kind, write := classify(err)
-		ri.outcome = kind
-		if write {
-			_ = enc.Encode(errorLine{Error: errorBody{Kind: kind, Message: err.Error()}})
-		} else {
-			ri.status = statusClientClosed
-		}
-		return
-	}
-	if n == 0 {
-		setCacheHeader(w, info.Cache)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	_ = enc.Encode(doneLine{Done: true, Count: n, DataVersion: info.DataVersion})
 }
 
 // handleBatch evaluates many queries on a single engine lease — one
@@ -361,32 +335,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 	if !s.decode(w, r, ri, &req) {
 		return
 	}
-	if len(req.Queries) == 0 {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", `"queries" must be non-empty`)
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("batch of %d exceeds the %d-query limit", len(req.Queries), s.cfg.MaxBatch))
+	if n := len(req.Queries); n == 0 || n > s.cfg.MaxBatch {
+		msg := `"queries" must be non-empty`
+		if n > 0 {
+			msg = fmt.Sprintf("batch of %d exceeds the %d-query limit", n, s.cfg.MaxBatch)
+		}
+		reject(w, ri, http.StatusBadRequest, "bad_request", msg)
 		return
 	}
 	ri.query = req.Queries[0].Query
-	d, err := s.timeoutFor(req.Timeout)
-	if err != nil {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	ctx, done, ok := s.admit(w, r, ri, t, req.Timeout)
+	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	if !s.gateMinVersion(ctx, w, r, ri, t) {
-		return
-	}
-
+	defer done()
 	results := make([]batchResult, len(req.Queries))
-	err = s.run(ctx, ri, t, func(e *hypo.Engine) error {
+	err := t.Pool().Do(ctx, func(e *hypo.Engine) error {
+		ri.dataVersion = e.DataVersion()
+		before := e.Stats()
+		defer func() { ri.stats = topdown.StatsDelta(before, e.Stats()) }()
 		for i, item := range req.Queries {
 			res, abort := evalBatchItem(ctx, e, item)
 			results[i] = res
@@ -397,7 +364,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 					}}
 				}
 				// Client gone: stop and close without a body.
-				if _, _, write := classify(abort); !write {
+				if status, _, _, _ := classify(abort); status == statusClientClosed {
 					return abort
 				}
 				break
@@ -405,29 +372,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		}
 		return nil
 	})
-	switch {
-	case err == nil:
-		ri.bindings = len(results)
-		writeJSON(w, batchResponse{Results: results, DataVersion: ri.dataVersion})
-	case errors.Is(err, errShed), errors.Is(err, errDraining):
-		s.refuse(w, ri, err)
-	default:
-		s.evalError(w, ri, err)
+	if err != nil {
+		fail(w, ri, err)
+		return
 	}
+	ri.bindings = len(results)
+	writeJSON(w, batchResponse{Results: results, DataVersion: ri.dataVersion})
 }
 
 // evalBatchItem runs one batch entry on the leased engine. Item-level
 // problems (bad query, unknown kind, budget) land in the result; an
 // abort is also returned so the batch stops.
 func evalBatchItem(ctx context.Context, e *hypo.Engine, item batchItem) (batchResult, error) {
-	kind := item.Kind
-	if kind == "" {
-		kind = "ask"
-	}
 	var res batchResult
 	var err error
-	switch kind {
-	case "ask":
+	switch item.Kind {
+	case "ask", "":
 		var ok bool
 		ok, err = e.AskCtx(ctx, item.Query)
 		res.Result = &ok
@@ -441,12 +401,11 @@ func evalBatchItem(ctx context.Context, e *hypo.Engine, item batchItem) (batchRe
 			res.Bindings = []hypo.Binding{}
 		}
 	default:
-		err = fmt.Errorf("unknown kind %q (want ask, query or askunder)", kind)
+		err = fmt.Errorf("unknown kind %q (want ask, query or askunder)", item.Kind)
 	}
 	if err != nil {
-		res = batchResult{}
-		_, ekind, _ := classify(err)
-		res.Error = &errorBody{Kind: ekind, Message: err.Error()}
+		_, kind, msg, _ := classify(err)
+		res = batchResult{Error: &errorBody{Kind: kind, Message: msg}}
 		if errors.Is(err, hypo.ErrCanceled) || errors.Is(err, hypo.ErrDeadline) {
 			return res, err
 		}
@@ -464,29 +423,23 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		// the replication stream. Forward the write so clients can talk to
 		// any node.
 		if s.draining.Load() {
-			s.refuse(w, ri, errDraining)
+			fail(w, ri, tenant.ErrDraining)
 			return
 		}
 		s.proxyFacts(w, r, ri)
 		return
 	}
 	if t.Live() == nil {
-		ri.outcome = "not_enabled"
-		writeError(w, http.StatusNotImplemented, "not_enabled",
+		reject(w, ri, http.StatusNotImplemented, "not_enabled",
 			"runtime fact mutation is disabled: start the server with a WAL (hdld -wal)")
 		return
 	}
 	if s.draining.Load() || t.Draining() {
-		s.refuse(w, ri, errDraining)
+		fail(w, ri, tenant.ErrDraining)
 		return
 	}
 	if err := t.CheckDiskQuota(); err != nil {
-		// Disk quota gates only the write path: reads (and retractions'
-		// eventual compaction) keep working, so the right client move is
-		// to retract or wait for compaction, then retry.
-		ri.outcome = "over_disk"
-		w.Header().Set("Retry-After", s.retryAfterSecs())
-		writeError(w, http.StatusServiceUnavailable, "over_disk", err.Error())
+		fail(w, ri, err)
 		return
 	}
 	var req factsRequest
@@ -494,8 +447,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		return
 	}
 	if len(req.Assert)+len(req.Retract) == 0 {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request",
+		reject(w, ri, http.StatusBadRequest, "bad_request",
 			`at least one of "assert" and "retract" must be non-empty`)
 		return
 	}
@@ -505,33 +457,34 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo
 		ri.query = req.Retract[0]
 	}
 	ms, err := hypo.ParseMutations(req.Assert, req.Retract)
-	if err != nil {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
+	var info live.CommitInfo
+	if err == nil {
+		info, err = t.Live().Apply(ms)
 	}
-	info, err := t.Live().Apply(ms)
 	if err != nil {
-		if errors.Is(err, live.ErrClosed) {
-			ri.outcome = "draining"
-			writeError(w, http.StatusServiceUnavailable, "draining", "live store is closed")
-			return
-		}
-		// A degraded store refuses writes but keeps serving reads; the
-		// machine-readable kind lets clients fail over their write path
-		// without abandoning this replica for queries.
-		if errors.Is(err, live.ErrReadOnly) {
-			ri.outcome = "read_only"
-			writeError(w, http.StatusServiceUnavailable, "read_only", err.Error())
-			return
-		}
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		fail(w, ri, err)
 		return
 	}
 	ri.dataVersion = info.Version
 	ri.bindings = info.Changed
 	writeJSON(w, factsResponse{Version: info.Version, Changed: info.Changed})
+}
+
+// programHealth is one program's healthz entry: its status and the data
+// version its reads are served at, plus the reason when its store is
+// degraded to read-only.
+func programHealth(t *tenant.Tenant) map[string]any {
+	p := map[string]any{"status": "ok", "dataVersion": t.Version()}
+	if degraded, cause := t.Degraded(); degraded {
+		p["status"], p["reason"], p["detail"] = "degraded", "read_only", cause
+		if t.Recovering() {
+			// A background prober is retrying the write path (transient
+			// cause, e.g. a full disk); writes may come back without a
+			// restart. Sticky corruption shows no recovering flag.
+			p["recovering"] = true
+		}
+	}
+	return p
 }
 
 // handleHealthz reports liveness. A server whose store degraded to
@@ -541,44 +494,22 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo
 // top-level status/dataVersion describe the default program (the legacy
 // single-program shape); the "programs" map adds the same per tenant.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{"ok": true, "status": "ok", "dataVersion": s.def.Version()}
+	resp := programHealth(s.def)
+	resp["ok"] = true
 	if s.cfg.Role != "" {
 		resp["role"] = s.cfg.Role
 	}
 	if s.cfg.Demand {
 		resp["demand"] = true
 	}
-	if degraded, cause := s.def.Degraded(); degraded {
-		resp["status"] = "degraded"
-		resp["reason"] = "read_only"
-		resp["detail"] = cause
-		if s.def.Recovering() {
-			// A background prober is retrying the write path (transient
-			// cause, e.g. a full disk); writes may come back without a
-			// restart. Sticky corruption shows no recovering flag.
-			resp["recovering"] = true
-		}
-	}
+	// Each program reports its own degraded/read-only state, not just the
+	// default's: a write-path router watching healthz must see which
+	// tenants refuse writes.
 	programs := make(map[string]any)
 	for _, t := range s.reg.List() {
-		// Each program reports its own degraded/read-only state, not just
-		// the default's: a write-path router watching healthz must see
-		// which tenants refuse writes.
-		st := "ok"
-		var detail string
-		if degraded, cause := t.Degraded(); degraded {
-			st, detail = "degraded", cause
-		}
+		p := programHealth(t)
 		if t.Draining() {
-			st = "draining"
-		}
-		p := map[string]any{"status": st, "dataVersion": t.Version()}
-		if detail != "" {
-			p["reason"] = "read_only"
-			p["detail"] = detail
-			if t.Recovering() {
-				p["recovering"] = true
-			}
+			p["status"] = "draining"
 		}
 		programs[t.Name()] = p
 	}

@@ -34,12 +34,15 @@ func (s *Server) gateMinVersion(ctx context.Context, w http.ResponseWriter, r *h
 	}
 	min, err := strconv.ParseUint(h, 10, 64)
 	if err != nil {
-		ri.outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "bad_request", "X-Hdl-Min-Version is not a uint64")
+		reject(w, ri, http.StatusBadRequest, "bad_request", "X-Hdl-Min-Version is not a uint64")
 		return false
 	}
 	ri.minVersion = min
-	if t.Version() >= min {
+	// Compare the pool's version, not the store's: a commit reaches the
+	// store before the pool swaps to it, and a read let through in that
+	// window would lease an engine below min. WaitVersion waits on the
+	// pool's version too.
+	if t.Pool().Version() >= min {
 		return true
 	}
 	if t.Live() == nil {
@@ -63,11 +66,9 @@ func (s *Server) gateMinVersion(ctx context.Context, w http.ResponseWriter, r *h
 // node IS at, so the client can retry here later or fall back to the
 // primary.
 func (s *Server) refuseStale(w http.ResponseWriter, ri *reqInfo, t *tenant.Tenant, min uint64) {
-	ri.outcome = "stale"
-	retry := strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
-	w.Header().Set("Retry-After", retry)
+	w.Header().Set("Retry-After", retryAfter)
 	w.Header().Set("X-Hdl-Version", strconv.FormatUint(t.Version(), 10))
-	writeError(w, http.StatusServiceUnavailable, "stale",
+	reject(w, ri, http.StatusServiceUnavailable, "stale",
 		fmt.Sprintf("data version %d not yet replicated here (at %d); retry or read the primary", min, t.Version()))
 }
 
@@ -79,7 +80,7 @@ func (s *Server) refuseStale(w http.ResponseWriter, ri *reqInfo, t *tenant.Tenan
 // The forward is governed by the proxy circuit breaker: while the
 // primary is deemed dead, writes fail fast with 503 primary_unreachable
 // + Retry-After instead of each burning a dial timeout. Every attempt
-// runs under its own deadline (ProxyAttemptTimeout, clamped by the
+// runs under its own deadline (proxyAttemptTimeout, clamped by the
 // inbound request's context, which still bounds the whole exchange),
 // and dial-level failures — where the request provably never reached
 // the primary, so a retry cannot double-commit — are retried with
@@ -87,17 +88,15 @@ func (s *Server) refuseStale(w http.ResponseWriter, ri *reqInfo, t *tenant.Tenan
 func (s *Server) proxyFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		ri.outcome = "too_large"
-		writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+		reject(w, ri, http.StatusRequestEntityTooLarge, "too_large",
 			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 		return
 	}
 	proceed, probe := s.proxyBr.allow()
 	if !proceed {
 		s.mets.ProxyFastFails.Inc()
-		ri.outcome = "primary_unreachable"
-		w.Header().Set("Retry-After", s.retryAfterSecs())
-		writeError(w, http.StatusServiceUnavailable, "primary_unreachable",
+		w.Header().Set("Retry-After", retryAfter)
+		reject(w, ri, http.StatusServiceUnavailable, "primary_unreachable",
 			"primary is unreachable (circuit open); retry later or write to the primary directly")
 		return
 	}
@@ -111,7 +110,7 @@ func (s *Server) proxyFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 			break
 		}
 		s.mets.ProxyRetries.Inc()
-		d := s.cfg.ProxyBackoff << attempt
+		d := proxyBackoff << attempt
 		d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1)) // jitter in [d/2, d]
 		select {
 		case <-time.After(d):
@@ -120,8 +119,7 @@ func (s *Server) proxyFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 	}
 	if err != nil {
 		s.proxyBr.failure(probe)
-		ri.outcome = "primary_unreachable"
-		writeError(w, http.StatusBadGateway, "primary_unreachable",
+		reject(w, ri, http.StatusBadGateway, "primary_unreachable",
 			"write could not be forwarded to the primary: "+err.Error())
 		return
 	}
@@ -147,14 +145,14 @@ func (s *Server) proxyFacts(w http.ResponseWriter, r *http.Request, ri *reqInfo)
 // deadline. On success the caller must run cancel only after it has
 // drained the response body (cancelling the context aborts the read).
 func (s *Server) proxyAttempt(r *http.Request, url string, body []byte) (*http.Response, context.CancelFunc, error) {
-	actx, cancel := context.WithTimeout(r.Context(), s.cfg.ProxyAttemptTimeout)
+	actx, cancel := context.WithTimeout(r.Context(), proxyAttemptTimeout)
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		cancel()
 		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.cfg.ProxyClient.Do(req)
+	resp, err := proxyClient.Do(req)
 	if err != nil {
 		cancel()
 		return nil, nil, err
@@ -173,10 +171,4 @@ func requestNotSent(err error) bool {
 		return true
 	}
 	return errors.Is(err, syscall.ECONNREFUSED)
-}
-
-// retryAfterSecs renders Config.RetryAfter as a whole-seconds header
-// value (rounded up).
-func (s *Server) retryAfterSecs() string {
-	return strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
 }

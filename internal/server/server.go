@@ -37,23 +37,30 @@
 //
 // # Error mapping
 //
-// Every failure surface has a distinct status: malformed JSON, bad
-// queries and domain violations are 400; an over-long body is 413; an
-// expired per-request deadline is 504; a goal-budget abort is 422; shed
-// load is 429; an unknown program is 404; a conflicting PUT is 409; a
-// draining or closed server is 503; a handler panic is 500. A client
-// that disconnects mid-evaluation gets nothing (the nginx-style 499
-// appears only in the access log).
+// Every request runs one path: decode, then one prologue (timeout →
+// X-Hdl-Min-Version gate → admission), then evaluation. Every failure
+// goes through one table (classify) and one writer (reject), which also
+// records the error kind as the access-log outcome, so the log and the
+// body cannot disagree. Malformed JSON, bad queries and domain
+// violations are 400; an over-long body is 413; an expired per-request
+// deadline is 504; a goal or memory budget abort is 422; shed load is
+// 429; an unknown program is 404; a conflicting PUT is 409; a draining
+// or closed server, pool or store, a tenant over its memory or disk
+// quota, and an unreachable X-Hdl-Min-Version are 503; a store degraded
+// to read-only is 503 read_only; a handler panic is 500. Every 429 and
+// every 503 except read_only carries Retry-After. A client that
+// disconnects mid-evaluation gets nothing (the nginx-style 499 appears
+// only in the access log).
 package server
 
 import (
-	"context"
+	"cmp"
 	"errors"
 	"expvar"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -67,6 +74,22 @@ import (
 // connection before the response"; it is never sent on the wire, only
 // logged.
 const statusClientClosed = 499
+
+// Fixed protocol parameters.
+const (
+	// retryAfter is the Retry-After hint, in seconds, on every 429 and on
+	// every 503 a client should retry here.
+	retryAfter = "1"
+	// proxyAttemptTimeout bounds each forwarded-write attempt to the
+	// primary; the inbound request's deadline still bounds the exchange.
+	proxyAttemptTimeout = 5 * time.Second
+	// proxyBackoff is the base delay between proxy retries: attempt n
+	// waits a jittered proxyBackoff<<n.
+	proxyBackoff = 100 * time.Millisecond
+)
+
+// proxyClient issues the replica→primary write proxy's requests.
+var proxyClient = &http.Client{Timeout: 30 * time.Second}
 
 // Config parameterises a Server. Provide either Registry (multi-tenant)
 // or Pool/Live (legacy single program, wrapped into a static registry).
@@ -111,10 +134,6 @@ type Config struct {
 	// Default: 256.
 	MaxBatch int
 
-	// RetryAfter is the Retry-After hint attached to 429 and 503
-	// responses. Default: 1s.
-	RetryAfter time.Duration
-
 	// Logger receives structured access and error logs. Default:
 	// slog.Default().
 	Logger *slog.Logger
@@ -154,24 +173,11 @@ type Config struct {
 	// 503 kind "stale". Default: 2s.
 	MinVersionWait time.Duration
 
-	// ProxyClient issues proxied write requests; nil means a default
-	// client.
-	ProxyClient *http.Client
-
-	// ProxyAttemptTimeout bounds each individual forwarded-write attempt
-	// to the primary (the inbound request's own deadline still bounds the
-	// whole exchange). Default: 5s.
-	ProxyAttemptTimeout time.Duration
-
 	// ProxyRetries is how many extra attempts a proxied write gets after
 	// a dial-level failure (where the request provably never reached the
 	// primary, so retrying cannot double-commit). Default: 2; set
 	// negative to disable retries.
 	ProxyRetries int
-
-	// ProxyBackoff is the base delay between proxy retries; attempt n
-	// waits a jittered ProxyBackoff<<n. Default: 100ms.
-	ProxyBackoff time.Duration
 
 	// ProxyBreakerThreshold is how many consecutive proxied-write
 	// transport failures open the circuit breaker. Default: 5.
@@ -231,28 +237,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 256
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
 	if cfg.MinVersionWait <= 0 {
 		cfg.MinVersionWait = 2 * time.Second
 	}
-	if cfg.ProxyClient == nil {
-		cfg.ProxyClient = &http.Client{Timeout: 30 * time.Second}
-	}
-	if cfg.ProxyAttemptTimeout <= 0 {
-		cfg.ProxyAttemptTimeout = 5 * time.Second
-	}
 	if cfg.ProxyRetries < 0 {
 		cfg.ProxyRetries = 0
 	} else if cfg.ProxyRetries == 0 {
 		cfg.ProxyRetries = 2
-	}
-	if cfg.ProxyBackoff <= 0 {
-		cfg.ProxyBackoff = 100 * time.Millisecond
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.Default
@@ -280,20 +274,17 @@ func New(cfg Config) (*Server, error) {
 		def:     def,
 		proxyBr: newBreaker(cfg.ProxyBreakerThreshold, cfg.ProxyBreakerCooldown, cfg.Metrics),
 	}
-	// Un-prefixed routes alias the default program.
-	s.mux.HandleFunc("POST /v1/ask", s.wrap("ask", false, s.handleAsk))
-	s.mux.HandleFunc("POST /v1/query", s.wrap("query", false, s.handleQuery))
-	s.mux.HandleFunc("POST /v1/askunder", s.wrap("askunder", false, s.handleAsk))
-	s.mux.HandleFunc("POST /v1/batch", s.wrap("batch", false, s.handleBatch))
-	s.mux.HandleFunc("POST /v1/explain", s.wrap("explain", false, s.handleExplain))
-	s.mux.HandleFunc("POST /v1/facts", s.wrap("facts", false, s.handleFacts))
-	// Tenant-qualified routes.
-	s.mux.HandleFunc("POST /v1/programs/{name}/ask", s.wrap("ask", true, s.handleAsk))
-	s.mux.HandleFunc("POST /v1/programs/{name}/query", s.wrap("query", true, s.handleQuery))
-	s.mux.HandleFunc("POST /v1/programs/{name}/askunder", s.wrap("askunder", true, s.handleAsk))
-	s.mux.HandleFunc("POST /v1/programs/{name}/batch", s.wrap("batch", true, s.handleBatch))
-	s.mux.HandleFunc("POST /v1/programs/{name}/explain", s.wrap("explain", true, s.handleExplain))
-	s.mux.HandleFunc("POST /v1/programs/{name}/facts", s.wrap("facts", true, s.handleFacts))
+	for _, rt := range []struct {
+		endpoint string
+		h        handler
+	}{
+		{"ask", s.handleRead}, {"askunder", s.handleRead}, {"query", s.handleRead},
+		{"explain", s.handleRead}, {"batch", s.handleBatch}, {"facts", s.handleFacts},
+	} {
+		// The un-prefixed route aliases the default program.
+		s.mux.HandleFunc("POST /v1/"+rt.endpoint, s.wrap(rt.endpoint, false, rt.h))
+		s.mux.HandleFunc("POST /v1/programs/{name}/"+rt.endpoint, s.wrap(rt.endpoint, true, rt.h))
+	}
 	// Admin surface: the registry itself.
 	s.mux.HandleFunc("GET /v1/programs", s.wrapAdmin("programs_list", s.handleProgramsList))
 	s.mux.HandleFunc("PUT /v1/programs/{name}", s.wrapAdmin("program_put", s.handleProgramPut))
@@ -331,20 +322,13 @@ func (s *Server) BeginDrain() {
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Admission errors (mapped to statuses in refuse). Aliases of the
-// tenant package's errors — admission is per tenant now.
-var (
-	errShed     = tenant.ErrShed
-	errDraining = tenant.ErrDraining
-)
-
 // reqInfo accumulates access-log fields as one request progresses
 // through decode, admission and evaluation.
 type reqInfo struct {
 	endpoint    string
 	program     string           // tenant the request resolved to (or asked for)
 	query       string           // surface query text (first of a batch)
-	outcome     string           // ok | bad_request | deadline | canceled | shed | draining | budget | panic | ...
+	outcome     string           // ok, panic, proxied, or the error kind reject wrote
 	status      int              // overrides the written status in logs (e.g. 499)
 	bindings    int              // bindings streamed / results returned
 	stats       hypo.Stats       // evaluation-work delta for this request
@@ -353,151 +337,87 @@ type reqInfo struct {
 	minVersion  uint64           // X-Hdl-Min-Version the client demanded (0 if absent)
 }
 
-// wrap is the middleware around every query handler: tenant resolution
-// (the {name} path segment, or the default program for un-prefixed
-// routes), request counting on the resolved tenant's metric set, a
-// status-recording writer, panic-to-500 recovery, and one structured
-// access-log line per request with the program, query, outcome, latency
-// and the evaluation-work stats delta.
-func (s *Server) wrap(endpoint string, named bool, h func(http.ResponseWriter, *http.Request, *reqInfo, *tenant.Tenant)) http.HandlerFunc {
+// handler is the shape of every routed handler: the request, its
+// access-log record, and the tenant it resolved to (nil on admin routes).
+type handler func(http.ResponseWriter, *http.Request, *reqInfo, *tenant.Tenant)
+
+// wrap is the middleware around every query handler: it resolves the
+// tenant (the {name} path segment, or the default program for
+// un-prefixed routes) and serves the request through serve. An unknown
+// program is a 404.
+func (s *Server) wrap(endpoint string, named bool, h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var t *tenant.Tenant
-		if named {
-			t, _ = s.reg.Get(r.PathValue("name"))
+		if !named {
+			s.serve(w, r, endpoint, s.def, h)
+		} else if t, _ := s.reg.Get(r.PathValue("name")); t != nil {
+			s.serve(w, r, endpoint, t, h)
 		} else {
-			t = s.def
+			s.serve(w, r, endpoint, nil, unknownProgram)
 		}
-		if t != nil {
-			t.Metrics().HTTPRequests.Inc()
-		} else {
-			s.mets.HTTPRequests.Inc()
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		ri := &reqInfo{endpoint: endpoint}
-		if t != nil {
-			ri.program = t.Name()
-		} else {
-			ri.program = r.PathValue("name")
-		}
-		start := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				// The engine (if any was leased) is already back on the
-				// pool's free list: Pool.Do and the Pool query methods
-				// return it in a defer that runs before this one.
-				ri.outcome = "panic"
-				s.log.Error("handler panic",
-					"endpoint", endpoint, "program", ri.program,
-					"panic", p, "stack", string(debug.Stack()))
-				if !sw.wrote {
-					writeError(sw, http.StatusInternalServerError, "internal", "internal server error")
-				}
-			}
-			status := ri.status
-			if status == 0 {
-				status = sw.status
-			}
-			if status == 0 {
-				status = http.StatusOK
-			}
-			if ri.outcome == "" {
-				ri.outcome = "ok"
-			}
-			s.log.Info("request",
-				"endpoint", endpoint,
-				"program", ri.program,
-				"status", status,
-				"outcome", ri.outcome,
-				"query", ri.query,
-				"elapsed_ms", float64(time.Since(start).Microseconds())/1000,
-				"bindings", ri.bindings,
-				"goals", ri.stats.Goals,
-				"enumerated", ri.stats.Enumerated,
-				"table_hits", ri.stats.TableHits,
-				"max_depth", ri.stats.MaxDepth,
-				"data_version", ri.dataVersion,
-				"cache", ri.cache.String(),
-				"role", s.cfg.Role,
-				"min_version", ri.minVersion,
-			)
-		}()
-		if t == nil {
-			ri.outcome = "unknown_program"
-			writeError(sw, http.StatusNotFound, "unknown_program",
-				"no program named "+strconv.Quote(r.PathValue("name"))+" (PUT /v1/programs/{name} creates one)")
-			return
-		}
-		h(sw, r, ri, t)
 	}
 }
 
-// wrapAdmin is the wrap variant for registry-admin handlers: same
-// logging and panic recovery, no tenant resolution (the handler manages
-// tenants itself), counters on the server's own metric set.
-func (s *Server) wrapAdmin(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.mets.HTTPRequests.Inc()
-		sw := &statusWriter{ResponseWriter: w}
-		ri := &reqInfo{endpoint: endpoint, program: r.PathValue("name")}
-		start := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				ri.outcome = "panic"
-				s.log.Error("handler panic",
-					"endpoint", endpoint, "program", ri.program,
-					"panic", p, "stack", string(debug.Stack()))
-				if !sw.wrote {
-					writeError(sw, http.StatusInternalServerError, "internal", "internal server error")
-				}
-			}
-			status := ri.status
-			if status == 0 {
-				status = sw.status
-			}
-			if status == 0 {
-				status = http.StatusOK
-			}
-			if ri.outcome == "" {
-				ri.outcome = "ok"
-			}
-			s.log.Info("request",
-				"endpoint", endpoint,
-				"program", ri.program,
-				"status", status,
-				"outcome", ri.outcome,
-				"elapsed_ms", float64(time.Since(start).Microseconds())/1000,
-			)
-		}()
-		h(sw, r, ri)
-	}
+// wrapAdmin serves a registry-admin handler through serve with no tenant
+// resolution (the handler manages tenants itself).
+func (s *Server) wrapAdmin(endpoint string, h handler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, endpoint, nil, h) }
 }
 
-// refuse writes the response for an admission failure.
-func (s *Server) refuse(w http.ResponseWriter, ri *reqInfo, err error) {
-	retry := strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
-	switch {
-	case errors.Is(err, errShed):
-		ri.outcome = "shed"
-		w.Header().Set("Retry-After", retry)
-		writeError(w, http.StatusTooManyRequests, "shed",
-			"program at capacity: evaluation slots and admission queue are full")
-	case errors.Is(err, tenant.ErrOverMemory):
-		ri.outcome = "over_memory"
-		w.Header().Set("Retry-After", retry)
-		writeError(w, http.StatusServiceUnavailable, "over_memory",
-			"program over its memory quota: "+err.Error())
-	case errors.Is(err, errDraining), errors.Is(err, hypo.ErrPoolClosed):
-		ri.outcome = "draining"
-		w.Header().Set("Retry-After", retry)
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
-	case errors.Is(err, context.DeadlineExceeded):
-		ri.outcome = "deadline"
-		writeError(w, http.StatusGatewayTimeout, "deadline",
-			"request deadline expired while waiting for an evaluation slot")
-	default: // context.Canceled: the client went away while queued
-		ri.outcome = "canceled"
-		ri.status = statusClientClosed
+// unknownProgram answers a tenant-qualified route naming no program.
+func unknownProgram(w http.ResponseWriter, r *http.Request, ri *reqInfo, _ *tenant.Tenant) {
+	reject(w, ri, http.StatusNotFound, "unknown_program",
+		fmt.Sprintf("no program named %q (PUT /v1/programs/{name} creates one)", r.PathValue("name")))
+}
+
+// serve is the one middleware body: request counting on the tenant's
+// metric set (the server's own without a tenant), a status-recording
+// writer, panic-to-500 recovery, and one structured access-log line per
+// request with the program, query, outcome, latency and the
+// evaluation-work stats delta.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, t *tenant.Tenant, h handler) {
+	mets, ri := s.mets, &reqInfo{endpoint: endpoint, program: r.PathValue("name")}
+	if t != nil {
+		mets, ri.program = t.Metrics(), t.Name()
 	}
+	mets.HTTPRequests.Inc()
+	sw := &statusWriter{ResponseWriter: w}
+	start := time.Now()
+	defer func() {
+		if p := recover(); p != nil {
+			// The engine (if any was leased) is already back on the pool's
+			// free list: Pool.Do and the Pool read methods return it in a
+			// defer that runs before this one.
+			s.log.Error("handler panic",
+				"endpoint", endpoint, "program", ri.program,
+				"panic", p, "stack", string(debug.Stack()))
+			if !sw.wrote {
+				reject(sw, ri, http.StatusInternalServerError, "internal", "internal server error")
+			}
+			ri.outcome = "panic"
+		}
+		status := cmp.Or(ri.status, sw.status, http.StatusOK)
+		if ri.outcome == "" {
+			ri.outcome = "ok"
+		}
+		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("endpoint", endpoint),
+			slog.String("program", ri.program),
+			slog.Int("status", status),
+			slog.String("outcome", ri.outcome),
+			slog.String("query", ri.query),
+			slog.Float64("elapsed_ms", float64(time.Since(start).Microseconds())/1000),
+			slog.Int("bindings", ri.bindings),
+			slog.Int64("goals", ri.stats.Goals),
+			slog.Int64("enumerated", ri.stats.Enumerated),
+			slog.Int64("table_hits", ri.stats.TableHits),
+			slog.Int("max_depth", ri.stats.MaxDepth),
+			slog.Uint64("data_version", ri.dataVersion),
+			slog.String("cache", ri.cache.String()),
+			slog.String("role", s.cfg.Role),
+			slog.Uint64("min_version", ri.minVersion),
+		)
+	}()
+	h(sw, r, ri, t)
 }
 
 // statusWriter records the status and whether anything was written, and

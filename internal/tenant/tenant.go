@@ -131,13 +131,10 @@ func (t *Tenant) Source() string { return t.source }
 // RulesHash fingerprints the tenant's rulebase (see Program.RulesHash).
 func (t *Tenant) RulesHash() uint64 { return t.rulesHash }
 
-// Version reports the tenant's current data version.
-func (t *Tenant) Version() uint64 {
-	if t.live != nil {
-		return t.live.Version()
-	}
-	return t.pool.Version()
-}
+// Version reports the data version the tenant's reads are served at:
+// the pool's. A commit reaches the live store before the pool swaps to
+// it, so during a commit the store's version runs ahead of this one.
+func (t *Tenant) Version() uint64 { return t.pool.Version() }
 
 // Degraded reports whether the tenant's store recovered in a degraded
 // state (e.g. a truncated WAL tail), with a reason.

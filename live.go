@@ -172,8 +172,14 @@ func (l *Live) Recovery() live.Recovery { return l.rec }
 // live.ErrReadOnly. Corruption-class degradations are sticky until
 // restart; transient ones (ENOSPC) are retried by a background recovery
 // prober (see Recovering) and clear in place once a probe write fsyncs.
+//
+// It reads the store's state under mu, which the recovery prober holds
+// from TryRecover until its metrics are updated: once Degraded reports
+// healthy, disk_recoveries and live_readonly already say so too.
 func (l *Live) Degraded() (bool, string) {
+	l.mu.Lock()
 	ro, err := l.store.ReadOnly()
+	l.mu.Unlock()
 	if !ro {
 		return false, ""
 	}
@@ -217,37 +223,46 @@ func (l *Live) noteDegradedLocked() {
 func (l *Live) probeLoop() {
 	iv := l.probeIv
 	maxIv := 32 * l.probeIv
-	done := func() {
-		l.mu.Lock()
-		l.probing = false
-		l.mu.Unlock()
-	}
 	for {
 		select {
 		case <-l.stop:
-			done()
+			l.mu.Lock()
+			l.probing = false
+			l.mu.Unlock()
 			return
 		case <-time.After(iv):
 		}
-		l.mets.DiskRecoveryProbes.Inc()
-		if err := l.store.TryRecover(); err == nil {
-			done()
-			l.mets.DiskRecoveries.Inc()
-			l.mets.LiveReadOnly.Set(0)
-			return
-		}
-		if ro, transient, _ := l.store.Degraded(); !ro || !transient {
-			// Cleared some other way, or reclassified sticky: stop probing.
-			done()
-			if !ro {
-				l.mets.LiveReadOnly.Set(0)
-			}
+		if l.probeOnce() {
 			return
 		}
 		if iv *= 2; iv > maxIv {
 			iv = maxIv
 		}
 	}
+}
+
+// probeOnce runs one recovery probe and reports whether probing is over.
+// It holds mu throughout, so the recovered state and the metrics that
+// report it become visible together (see Degraded).
+func (l *Live) probeOnce() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.mets.DiskRecoveryProbes.Inc()
+	if err := l.store.TryRecover(); err == nil {
+		l.probing = false
+		l.mets.DiskRecoveries.Inc()
+		l.mets.LiveReadOnly.Set(0)
+		return true
+	}
+	if ro, transient, _ := l.store.Degraded(); !ro || !transient {
+		// Cleared some other way, or reclassified sticky: stop probing.
+		l.probing = false
+		if !ro {
+			l.mets.LiveReadOnly.Set(0)
+		}
+		return true
+	}
+	return false
 }
 
 // ParseMutations parses assert/retract surface atoms ("edge(a, b)") into
