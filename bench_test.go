@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hypodatalog"
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/engine"
 	"hypodatalog/internal/generic"
@@ -375,4 +376,56 @@ func BenchmarkE12Ablation(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkColdSearch runs the search ops of perfbench's cold-eval
+// workload: the Hamiltonian path programs (paper Examples 7-8) over a
+// planted-yes and a random-no 12-node digraph, twice each, and parity
+// (paper Example 6) at 16 and 9 items, each on a fresh ModeAuto engine.
+// The digraphs are drawn from shape seed 1, as perfbench draws them. It
+// reports goal expansions per set next to allocations, so a profile of
+// the exponential Σ search is one command away:
+//
+//	go test -run '^$' -bench ColdSearch -cpuprofile cpu.out .
+func BenchmarkColdSearch(b *testing.B) {
+	type op struct {
+		prog  *hypo.Program
+		query string
+		want  bool
+	}
+	shape := rand.New(rand.NewSource(1))
+	var ham []op
+	for _, d := range []workload.Digraph{workload.PlantedHamiltonian(shape, 12, 0.15), workload.RandomDigraph(shape, 12, 0.2)} {
+		p, err := hypo.Parse(workload.HamiltonianProgram(d))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ham = append(ham, op{p, "yes", workload.HasHamiltonianPath(d)})
+	}
+	var ops []op
+	for _, n := range []int{16, 9} {
+		p, err := hypo.Parse(workload.ParityProgram(n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops = append(ops, ham...)
+		ops = append(ops, op{p, "even", n%2 == 0})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var goals int64
+	for i := 0; i < b.N; i++ {
+		for _, o := range ops {
+			e, err := hypo.New(o.prog, hypo.Options{Mode: hypo.ModeAuto})
+			if err != nil {
+				b.Fatal(err)
+			}
+			got, err := e.Ask(o.query)
+			if err != nil || got != o.want {
+				b.Fatalf("%s = %v (err %v), want %v", o.query, got, err, o.want)
+			}
+			goals += e.Stats().Goals
+		}
+	}
+	b.ReportMetric(float64(goals)/float64(b.N), "goals/op")
 }

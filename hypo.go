@@ -782,7 +782,8 @@ func (e *Engine) explainCtx(ctx context.Context, query string) (string, error) {
 }
 
 // Stats reports evaluation counters: the uniform engine's in uniform
-// mode, or the sum over the cascade's PROVE_Σ engines in cascade mode.
+// mode, or in cascade mode the sum over the cascade's PROVE_Σ engines,
+// with the Δ fields summed over its PROVE_Δ provers.
 func (e *Engine) Stats() topdown.Stats {
 	if e.uni != nil {
 		return e.uni.Stats()
@@ -799,6 +800,11 @@ func (e *Engine) Stats() topdown.Stats {
 		if s.MaxDepth > sum.MaxDepth {
 			sum.MaxDepth = s.MaxDepth
 		}
+		d := e.cas.DeltaStats(i)
+		sum.DeltaRounds += d.Rounds
+		sum.RuleFires += d.RuleFires
+		sum.JoinProbes += d.JoinProbes
+		sum.Derived += d.Derived
 	}
 	// Every cascade component shares one tracker, so the growth is read
 	// once, not summed per stratum.

@@ -49,6 +49,13 @@ type Prover struct {
 	maxCache int
 	stats    Stats
 
+	// frames is the stack rule bindings live on: a join pushes a frame
+	// per rule and truncates back after it. spare holds emptied frontier
+	// maps for pinnedJoin to reuse. Both are stacks because a join can
+	// re-enter Materialise (askOracleOrModel).
+	frames []symbols.Const
+	spare  []map[symbols.Pred][]facts.AtomID
+
 	// ctx is the cancellation source of the in-flight *Ctx call, or nil
 	// when the call is not cancellable; the join loop polls it every
 	// ctxCheckInterval steps and the fixpoint loop once per round.
@@ -149,14 +156,9 @@ type listKey struct {
 // predicate's atoms, about as much as a few scans.
 const scansBeforeIndex = 4
 
-func newModel(atoms atomSet) *model {
-	return &model{
-		atoms: atoms,
-		lists: make(map[listKey][]facts.AtomID),
-		built: make(map[symbols.Pred][]int),
-		scans: make(map[listKey]int),
-	}
-}
+// newModel wraps an atom set; the index maps are made on first probe,
+// so a model no join probes costs no index.
+func newModel(atoms atomSet) *model { return &model{atoms: atoms} }
 
 // postings returns the model's atoms of pred whose argument pos is val
 // (every atom of pred when pos is -1): the atoms present when the
@@ -165,6 +167,11 @@ func newModel(atoms atomSet) *model {
 func (p *Prover) postings(m *model, pred symbols.Pred, pos int, val symbols.Const) []facts.AtomID {
 	if !contains(m.built[pred], pos) {
 		k := listKey{pred: pred, pos: pos}
+		if m.scans == nil {
+			m.scans = make(map[listKey]int)
+			m.lists = make(map[listKey][]facts.AtomID)
+			m.built = make(map[symbols.Pred][]int)
+		}
 		if m.scans[k] < scansBeforeIndex {
 			m.scans[k]++
 			var ids []facts.AtomID
@@ -477,11 +484,13 @@ func (p *Prover) lfp(lv level, st facts.State, m *model) error {
 			}
 			return nil
 		}
+		mark := len(p.frames)
 		for _, rp := range lv.rules {
-			binding := newUnbound(rp.r.NumVars)
+			binding := p.pushFrame(rp.r.NumVars)
 			err := p.joinAt(rp.r, rp.order, binding, 0, st, m, func() error {
 				return p.deriveHeads(rp.r, binding, collect)
 			})
+			p.frames = p.frames[:mark]
 			if err != nil {
 				return err
 			}
@@ -524,14 +533,28 @@ func (p *Prover) propagate(rules []*rulePlan, st facts.State, m *model, frontier
 // remaining premises evaluate against the state and model, and every
 // resulting head instance is yielded.
 func (p *Prover) pinnedJoin(rules []*rulePlan, st facts.State, m *model, frontier []facts.AtomID, yield func(facts.AtomID) error) error {
-	byPred := make(map[symbols.Pred][]facts.AtomID)
+	var byPred map[symbols.Pred][]facts.AtomID
+	if n := len(p.spare); n > 0 {
+		byPred, p.spare = p.spare[n-1], p.spare[:n-1]
+	} else {
+		byPred = make(map[symbols.Pred][]facts.AtomID)
+	}
+	mark := len(p.frames)
+	defer func() {
+		p.frames = p.frames[:mark]
+		for pred, ids := range byPred {
+			byPred[pred] = ids[:0]
+		}
+		p.spare = append(p.spare, byPred)
+	}()
 	for _, id := range frontier {
 		pred := p.in.Pred(id)
 		byPred[pred] = append(byPred[pred], id)
 	}
 	for _, rp := range rules {
 		r := rp.r
-		binding := newUnbound(r.NumVars)
+		p.frames = p.frames[:mark]
+		binding := p.pushFrame(r.NumVars)
 		for bi, order := range rp.pinned {
 			if order == nil {
 				continue
@@ -556,11 +579,10 @@ func (p *Prover) pinnedJoin(rules []*rulePlan, st facts.State, m *model, frontie
 // unbound; the Definition 3 substitution ranges them over the domain.
 func (p *Prover) deriveHeads(r *ast.CRule, binding []symbols.Const, yield func(facts.AtomID) error) error {
 	p.stats.RuleFires++
-	var free []int
-	for _, t := range r.Head.Args {
-		if t.IsVar() && binding[t.VarSlot()] == unbound && !contains(free, t.VarSlot()) {
-			free = append(free, t.VarSlot())
-		}
+	var buf [facts.GroundBuf]int
+	free := appendAtomUnbound(buf[:0], r.Head, binding)
+	if len(free) == 0 {
+		return yield(p.ground(r.Head, binding))
 	}
 	return p.enumSlotsThen(free, binding, func() error {
 		return yield(p.ground(r.Head, binding))
@@ -569,12 +591,16 @@ func (p *Prover) deriveHeads(r *ast.CRule, binding []symbols.Const, yield func(f
 
 const unbound symbols.Const = -1
 
-func newUnbound(n int) []symbols.Const {
-	b := make([]symbols.Const, n)
-	for i := range b {
-		b[i] = unbound
+// pushFrame pushes an all-unbound binding of n slots onto p.frames; the
+// caller truncates p.frames back to its previous length when done. A
+// frame keeps the backing array it was cut from if a deeper push
+// reallocates the stack, so frames never alias.
+func (p *Prover) pushFrame(n int) []symbols.Const {
+	m := len(p.frames)
+	for i := 0; i < n; i++ {
+		p.frames = append(p.frames, unbound)
 	}
-	return b
+	return p.frames[m : m+n : m+n]
 }
 
 // premiseOrder: state-matchable premises first (own preds and extensional,
@@ -665,8 +691,9 @@ func (p *Prover) joinAt(r *ast.CRule, order []int, binding []symbols.Const, pi i
 	case ast.Negated:
 		// Negation-local variables (not occurring positively in the rule)
 		// are quantified inside the negation.
-		var enumSlots, localSlots []int
-		for _, s := range unboundSlots(pr, binding) {
+		var slotBuf, enumBuf, localBuf [facts.GroundBuf]int
+		enumSlots, localSlots := enumBuf[:0], localBuf[:0]
+		for _, s := range appendUnboundSlots(slotBuf[:0], pr, binding) {
 			if r.PosVar[s] {
 				enumSlots = append(enumSlots, s)
 			} else {
@@ -789,7 +816,8 @@ func contains(xs []int, x int) bool {
 
 // enumThen enumerates all unbound slots of a premise over the domain.
 func (p *Prover) enumThen(pr *ast.CPremise, binding []symbols.Const, leaf func() error) error {
-	return p.enumSlotsThen(unboundSlots(pr, binding), binding, leaf)
+	var buf [facts.GroundBuf]int
+	return p.enumSlotsThen(appendUnboundSlots(buf[:0], pr, binding), binding, leaf)
 }
 
 func (p *Prover) enumSlotsThen(slots []int, binding []symbols.Const, leaf func() error) error {
@@ -810,23 +838,27 @@ func (p *Prover) enumSlotsThen(slots []int, binding []symbols.Const, leaf func()
 	return rec(0)
 }
 
-func unboundSlots(pr *ast.CPremise, binding []symbols.Const) []int {
-	var slots []int
-	note := func(a ast.CAtom) {
-		for _, t := range a.Args {
-			if t.IsVar() && binding[t.VarSlot()] == unbound && !contains(slots, t.VarSlot()) {
-				slots = append(slots, t.VarSlot())
-			}
-		}
-	}
-	note(pr.Atom)
+// appendUnboundSlots appends to dst the unbound variable slots of a
+// premise (atom plus adds and dels) not already in dst, each once, in
+// first-occurrence order.
+func appendUnboundSlots(dst []int, pr *ast.CPremise, binding []symbols.Const) []int {
+	dst = appendAtomUnbound(dst, pr.Atom, binding)
 	for _, a := range pr.Adds {
-		note(a)
+		dst = appendAtomUnbound(dst, a, binding)
 	}
 	for _, a := range pr.Dels {
-		note(a)
+		dst = appendAtomUnbound(dst, a, binding)
 	}
-	return slots
+	return dst
+}
+
+func appendAtomUnbound(dst []int, a ast.CAtom, binding []symbols.Const) []int {
+	for _, t := range a.Args {
+		if t.IsVar() && binding[t.VarSlot()] == unbound && !contains(dst, t.VarSlot()) {
+			dst = append(dst, t.VarSlot())
+		}
+	}
+	return dst
 }
 
 // match enumerates the bindings under which the pattern matches an atom
@@ -884,7 +916,8 @@ func (p *Prover) match(pattern ast.CAtom, binding []symbols.Const, st facts.Stat
 func (p *Prover) tryMatch(pattern ast.CAtom, binding []symbols.Const, id facts.AtomID, yield func() error) error {
 	p.stats.JoinProbes++
 	args := p.in.Args(id)
-	var boundHere []int
+	var buf [facts.GroundBuf]int
+	boundHere := buf[:0]
 	ok := true
 	for i, t := range pattern.Args {
 		if t.IsVar() {
@@ -914,18 +947,21 @@ func (p *Prover) tryMatch(pattern ast.CAtom, binding []symbols.Const, id facts.A
 	return err
 }
 
+// ground interns an atom under a (fully binding) substitution. The
+// arguments are built on the stack; only a first interning copies.
 func (p *Prover) ground(a ast.CAtom, binding []symbols.Const) facts.AtomID {
-	args := make([]symbols.Const, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar() {
-			v := binding[t.VarSlot()]
-			if v == unbound {
-				panic("bottomup: grounding with unbound variable")
-			}
-			args[i] = v
-		} else {
-			args[i] = t.ConstID()
+	var buf [facts.GroundBuf]symbols.Const
+	args := buf[:0]
+	for _, t := range a.Args {
+		if !t.IsVar() {
+			args = append(args, t.ConstID())
+			continue
 		}
+		v := binding[t.VarSlot()]
+		if v == unbound {
+			panic("bottomup: grounding with unbound variable")
+		}
+		args = append(args, v)
 	}
 	return p.in.ID(a.Pred, args)
 }

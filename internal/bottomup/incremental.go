@@ -238,11 +238,14 @@ func (p *Prover) overdelete(me *matEntry, removed []facts.AtomID) (atomSet, erro
 func (p *Prover) rederivable(goal facts.AtomID, st facts.State, m *model) (bool, error) {
 	gp := p.in.Pred(goal)
 	gargs := p.in.Args(goal)
+	mark := len(p.frames)
+	defer func() { p.frames = p.frames[:mark] }()
 	for _, rp := range p.all {
 		if rp.r.Head.Pred != gp {
 			continue
 		}
-		binding := newUnbound(rp.r.NumVars)
+		p.frames = p.frames[:mark]
+		binding := p.pushFrame(rp.r.NumVars)
 		if !unifyHeadArgs(rp.r.Head, gargs, binding) {
 			continue
 		}

@@ -172,6 +172,9 @@ func (c *Cascade) NumStrata() int { return c.numStrata }
 // SigmaStats returns the top-down statistics of PROVE_Σi (1-based i).
 func (c *Cascade) SigmaStats(i int) topdown.Stats { return c.sigma[i-1].Stats() }
 
+// DeltaStats returns the bottom-up work counters of PROVE_Δi (1-based i).
+func (c *Cascade) DeltaStats(i int) bottomup.Stats { return c.delta[i-1].Stats() }
+
 // Ask reports whether the goal is derivable in the state.
 func (c *Cascade) Ask(goal facts.AtomID, st facts.State) (bool, error) {
 	return c.askAt(goal, st, 2*c.numStrata)

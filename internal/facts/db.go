@@ -2,7 +2,7 @@ package facts
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"hypodatalog/internal/symbols"
 )
@@ -14,28 +14,30 @@ type indexKey struct {
 }
 
 // DB is the base (extensional) database: a set of interned ground atoms
-// with a per-predicate list and per-argument hash indexes. A DB is built
-// (or incrementally mutated) single-threaded and then read concurrently;
-// Insert and Remove must not race with reads.
+// with a per-predicate list and per-argument hash indexes. Membership is
+// a bitset indexed by AtomID, which the interner assigns densely. A DB is
+// built (or incrementally mutated) single-threaded and then read
+// concurrently; Insert and Remove must not race with reads.
 type DB struct {
 	in     *Interner
-	set    map[AtomID]struct{}
+	bits   []uint64 // bit id%64 of word id/64 is set iff id is in the DB
+	n      int      // number of set bits
 	byPred map[symbols.Pred][]AtomID
 	index  map[indexKey][]AtomID
 	bytes  int64 // approximate heap footprint of the indexes
 }
 
-// dbAtomBytes approximates the indexing cost of one atom: the set entry,
-// the byPred slot, and one index entry (key + slot) per argument
-// position. Like the interner's accounting it is an estimator for budget
-// enforcement, linear in the real footprint.
+// dbAtomBytes approximates the indexing cost of one atom: its membership
+// (still costed as the set-map entry the bitset replaced, so byte
+// ceilings do not shift), the byPred slot, and one index entry (key +
+// slot) per argument position. Like the interner's accounting it is an
+// estimator for budget enforcement, linear in the real footprint.
 func dbAtomBytes(nargs int) int64 { return 48 + 32*int64(nargs) }
 
 // NewDB returns an empty database over the interner.
 func NewDB(in *Interner) *DB {
 	return &DB{
 		in:     in,
-		set:    make(map[AtomID]struct{}),
 		byPred: make(map[symbols.Pred][]AtomID),
 		index:  make(map[indexKey][]AtomID),
 	}
@@ -61,10 +63,15 @@ func (db *DB) Insert(id AtomID) (bool, error) {
 
 // insert indexes an atom already known to be arity-consistent.
 func (db *DB) insert(id AtomID) bool {
-	if _, ok := db.set[id]; ok {
+	if db.Has(id) {
 		return false
 	}
-	db.set[id] = struct{}{}
+	w := int(id) >> 6
+	if w >= len(db.bits) {
+		db.bits = append(db.bits, make([]uint64, w+1-len(db.bits))...)
+	}
+	db.bits[w] |= 1 << (id & 63)
+	db.n++
 	pred := db.in.Pred(id)
 	db.byPred[pred] = append(db.byPred[pred], id)
 	for pos, val := range db.in.Args(id) {
@@ -85,10 +92,11 @@ func (db *DB) MemBytes() int64 { return db.bytes }
 // arrays copy-on-write (see Clone), so an in-place shift would corrupt a
 // sibling's view of the same array.
 func (db *DB) Remove(id AtomID) bool {
-	if _, ok := db.set[id]; !ok {
+	if !db.Has(id) {
 		return false
 	}
-	delete(db.set, id)
+	db.bits[id>>6] &^= 1 << (id & 63)
+	db.n--
 	pred := db.in.Pred(id)
 	db.byPred[pred] = withoutID(db.byPred[pred], id)
 	if len(db.byPred[pred]) == 0 {
@@ -117,13 +125,14 @@ func withoutID(s []AtomID, id AtomID) []AtomID {
 }
 
 // Has reports whether the atom is in the base database.
+// Ids past the last word (and NoAtom) are absent.
 func (db *DB) Has(id AtomID) bool {
-	_, ok := db.set[id]
-	return ok
+	w := uint(id) >> 6
+	return w < uint(len(db.bits)) && db.bits[w]&(1<<(id&63)) != 0
 }
 
 // Len reports the number of atoms in the database.
-func (db *DB) Len() int { return len(db.set) }
+func (db *DB) Len() int { return db.n }
 
 // ByPred returns the atoms with the given predicate. The returned slice
 // must not be modified.
@@ -139,11 +148,13 @@ func (db *DB) ByPredArg(p symbols.Pred, pos int, val symbols.Const) []AtomID {
 // All returns every atom id in the database, sorted. The slice is freshly
 // allocated.
 func (db *DB) All() []AtomID {
-	out := make([]AtomID, 0, len(db.set))
-	for id := range db.set {
-		out = append(out, id)
+	out := make([]AtomID, 0, db.n)
+	for w, word := range db.bits {
+		for word != 0 {
+			out = append(out, AtomID(w<<6+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -151,9 +162,9 @@ func (db *DB) All() []AtomID {
 // The index slices are shared copy-on-write: each is capacity-clipped so
 // an Insert on either copy reallocates instead of appending into the
 // shared backing array, and Remove always builds a fresh slice. This
-// makes cloning O(entries) map copies with no per-atom re-indexing — the
-// path pool engines take when stamping a fresh engine from a shared
-// per-version substrate.
+// makes cloning O(entries) map copies plus a copy of the membership
+// words, with no per-atom re-indexing — the path pool engines take when
+// stamping a fresh engine from a shared per-version substrate.
 func (db *DB) Clone() *DB { return db.CloneFor(db.in) }
 
 // CloneFor is Clone with the copy bound to a different interner — one
@@ -163,13 +174,11 @@ func (db *DB) Clone() *DB { return db.CloneFor(db.in) }
 func (db *DB) CloneFor(in *Interner) *DB {
 	out := &DB{
 		in:     in,
-		set:    make(map[AtomID]struct{}, len(db.set)),
+		bits:   append([]uint64(nil), db.bits...),
+		n:      db.n,
 		byPred: make(map[symbols.Pred][]AtomID, len(db.byPred)),
 		index:  make(map[indexKey][]AtomID, len(db.index)),
 		bytes:  db.bytes,
-	}
-	for id := range db.set {
-		out.set[id] = struct{}{}
 	}
 	for p, s := range db.byPred {
 		out.byPred[p] = s[:len(s):len(s)]

@@ -232,7 +232,7 @@ func (e *Engine) explainBody(rule *ast.CRule, binding []symbols.Const, pi int, s
 		return result, found, err
 	case ast.Negated:
 		var enumSlots, localSlots []int
-		for _, s := range premiseUnboundSlots(pr, binding) {
+		for _, s := range appendUnboundSlots(nil, pr, binding) {
 			if rule.PosVar[s] {
 				enumSlots = append(enumSlots, s)
 			} else {
@@ -279,7 +279,7 @@ func (e *Engine) forEachPremiseInstance(rule *ast.CRule, pr *ast.CPremise, bindi
 		}
 		return nil
 	}
-	slots := premiseUnboundSlots(pr, binding)
+	slots := appendUnboundSlots(nil, pr, binding)
 	return e.enumerate(slots, binding, leaf)
 }
 

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hypodatalog/internal/ast"
 	"hypodatalog/internal/facts"
@@ -136,6 +137,13 @@ type Stats struct {
 	Enumerated int64 // domain bindings tried by the planner
 	NegCalls   int64 // nested negation regions started
 	MemBytes   int64 // tracked footprint growth since the query began
+
+	// Bottom-up (PROVE_Δ) work, summed over a cascade's Δ provers; zero
+	// for a lone top-down engine.
+	DeltaRounds int64 // fixpoint rounds: full passes and semi-naive rounds
+	RuleFires   int64 // rule body matches that produced a (possibly old) head
+	JoinProbes  int64 // candidate atoms inspected while matching premises
+	Derived     int64 // atoms added to materialised models
 }
 
 // StatsDelta is the evaluation work between two Stats snapshots of one
@@ -151,6 +159,11 @@ func StatsDelta(before, after Stats) Stats {
 		MaxDepth:   after.MaxDepth,
 		TableSize:  after.TableSize,
 		MemBytes:   after.MemBytes - before.MemBytes,
+
+		DeltaRounds: after.DeltaRounds - before.DeltaRounds,
+		RuleFires:   after.RuleFires - before.RuleFires,
+		JoinProbes:  after.JoinProbes - before.JoinProbes,
+		Derived:     after.Derived - before.Derived,
 	}
 }
 
@@ -165,6 +178,13 @@ type Engine struct {
 
 	table   map[tableKey]bool
 	onStack map[tableKey]int
+	// spare holds emptied on-stack maps for negation regions to reuse:
+	// every prove deletes its own entry on the way out, so a region's map
+	// is empty again when the region returns.
+	spare []map[tableKey]int
+	// frames is the stack the bindings of the rules prove is trying live
+	// on: prove pushes one frame per rule and truncates back after it.
+	frames []symbols.Const
 
 	// ctx is the cancellation source of the in-flight *Ctx call, or nil
 	// when the call is not cancellable; prove polls it every
@@ -457,13 +477,16 @@ func (e *Engine) prove(goal facts.AtomID, st facts.State, depth int) (bool, int,
 	defer delete(e.onStack, key)
 
 	minTouched := maxFrame
+	mark := len(e.frames)
 	for _, ri := range e.prog.ByHead[pred] {
 		rule := &e.prog.Rules[ri]
-		binding := newBinding(rule.NumVars)
+		binding := e.pushFrame(rule.NumVars)
 		if !unifyHead(rule.Head, e.in.Args(goal), binding) {
+			e.frames = e.frames[:mark]
 			continue
 		}
 		ok, touched, err := e.evalBody(rule, binding, fullMask(len(rule.Body)), st, depth+1)
+		e.frames = e.frames[:mark]
 		if err != nil {
 			return false, maxFrame, err
 		}
@@ -501,6 +524,18 @@ func newBinding(n int) []symbols.Const {
 		b[i] = unbound
 	}
 	return b
+}
+
+// pushFrame pushes an all-unbound binding of n slots onto e.frames; the
+// caller truncates e.frames back to its previous length when done. A
+// frame keeps the backing array it was cut from if a deeper push
+// reallocates the stack, so frames never alias.
+func (e *Engine) pushFrame(n int) []symbols.Const {
+	m := len(e.frames)
+	for i := 0; i < n; i++ {
+		e.frames = append(e.frames, unbound)
+	}
+	return e.frames[m : m+n : m+n]
 }
 
 // unifyHead matches a rule head against ground goal arguments, extending
@@ -597,7 +632,8 @@ var errStop = fmt.Errorf("topdown: stop")
 // "ground substitution over dom(R, DB)"), and each ground instance is
 // proved recursively.
 func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int) (bool, int, error) {
-	slots := premiseUnboundSlots(pr, binding)
+	var buf [facts.GroundBuf]int
+	slots := appendUnboundSlots(buf[:0], pr, binding)
 	minTouched := maxFrame
 	proved := false
 
@@ -669,8 +705,9 @@ func (e *Engine) evalEnumerated(rule *ast.CRule, pr *ast.CPremise, binding []sym
 // Examples 6 and 7 rely on (EVEN ← ~SELECT(x̄) fires when nothing is
 // selectable).
 func (e *Engine) evalNegated(rule *ast.CRule, pr *ast.CPremise, binding []symbols.Const, rest uint64, st facts.State, depth int) (bool, int, error) {
-	slots := premiseUnboundSlots(pr, binding)
-	var enumSlots, localSlots []int
+	var slotBuf, enumBuf, localBuf [facts.GroundBuf]int
+	slots := appendUnboundSlots(slotBuf[:0], pr, binding)
+	enumSlots, localSlots := enumBuf[:0], localBuf[:0]
 	for _, s := range slots {
 		if rule.PosVar[s] {
 			enumSlots = append(enumSlots, s)
@@ -773,53 +810,57 @@ func (e *Engine) negHolds(atom ast.CAtom, binding []symbols.Const, localSlots []
 func (e *Engine) negCheck(goal facts.AtomID, st facts.State) (bool, error) {
 	e.stats.NegCalls++
 	savedStack := e.onStack
-	e.onStack = make(map[tableKey]int)
+	if n := len(e.spare); n > 0 {
+		e.onStack, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		e.onStack = make(map[tableKey]int)
+	}
 	ok, _, err := e.prove(goal, st, 0)
+	e.spare = append(e.spare, e.onStack)
 	e.onStack = savedStack
 	return ok, err
 }
 
 // groundAtom interns a premise atom under a (fully binding) substitution.
+// The arguments are built on the stack; only a first interning copies.
 func (e *Engine) groundAtom(a ast.CAtom, binding []symbols.Const) facts.AtomID {
-	args := make([]symbols.Const, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar() {
-			v := binding[t.VarSlot()]
-			if v == unbound {
-				panic("topdown: grounding with unbound variable")
-			}
-			args[i] = v
-		} else {
-			args[i] = t.ConstID()
+	var buf [facts.GroundBuf]symbols.Const
+	args := buf[:0]
+	for _, t := range a.Args {
+		if !t.IsVar() {
+			args = append(args, t.ConstID())
+			continue
 		}
+		v := binding[t.VarSlot()]
+		if v == unbound {
+			panic("topdown: grounding with unbound variable")
+		}
+		args = append(args, v)
 	}
 	return e.in.ID(a.Pred, args)
 }
 
-// premiseUnboundSlots returns the unbound variable slots of a premise
-// (atom plus adds), each once, in first-occurrence order.
-func premiseUnboundSlots(pr *ast.CPremise, binding []symbols.Const) []int {
-	var slots []int
-	seen := map[int]bool{}
-	note := func(a ast.CAtom) {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				s := t.VarSlot()
-				if binding[s] == unbound && !seen[s] {
-					seen[s] = true
-					slots = append(slots, s)
-				}
-			}
-		}
-	}
-	note(pr.Atom)
+// appendUnboundSlots appends to dst the unbound variable slots of a
+// premise (atom plus adds and dels) not already in dst, each once, in
+// first-occurrence order.
+func appendUnboundSlots(dst []int, pr *ast.CPremise, binding []symbols.Const) []int {
+	dst = appendAtomUnbound(dst, pr.Atom, binding)
 	for _, a := range pr.Adds {
-		note(a)
+		dst = appendAtomUnbound(dst, a, binding)
 	}
 	for _, a := range pr.Dels {
-		note(a)
+		dst = appendAtomUnbound(dst, a, binding)
 	}
-	return slots
+	return dst
+}
+
+func appendAtomUnbound(dst []int, a ast.CAtom, binding []symbols.Const) []int {
+	for _, t := range a.Args {
+		if t.IsVar() && binding[t.VarSlot()] == unbound && !slices.Contains(dst, t.VarSlot()) {
+			dst = append(dst, t.VarSlot())
+		}
+	}
+	return dst
 }
 
 // matchState enumerates the atoms in the state (base plus delta) matching
@@ -849,7 +890,8 @@ func (e *Engine) matchState(pattern ast.CAtom, binding []symbols.Const, st facts
 	}
 	tryMatch := func(id facts.AtomID) error {
 		args := e.in.Args(id)
-		var boundHere []int
+		var buf [facts.GroundBuf]int
+		boundHere := buf[:0]
 		ok := true
 		for i, t := range pattern.Args {
 			if t.IsVar() {
@@ -926,7 +968,8 @@ func (e *Engine) pickPremise(rule *ast.CRule, binding []symbols.Const, mask uint
 
 // premiseCost estimates the branching a premise introduces right now.
 func (e *Engine) premiseCost(pr *ast.CPremise, binding []symbols.Const, st facts.State) float64 {
-	unboundCount := len(premiseUnboundSlots(pr, binding))
+	var buf [facts.GroundBuf]int
+	unboundCount := len(appendUnboundSlots(buf[:0], pr, binding))
 	domN := float64(len(e.dom))
 	if domN == 0 {
 		domN = 1

@@ -96,6 +96,33 @@ func TestPoolReadPaths(t *testing.T) {
 	}
 }
 
+// TestCascadeReadReportsDeltaWork checks that a cascade read's Stats
+// count the bottom-up work of the PROVE_Δ provers: a closure miss
+// materialises path and reports rounds, rule firings, join probes and
+// derived atoms; the cache hit after it reports none.
+func TestCascadeReadReportsDeltaWork(t *testing.T) {
+	pl := cacheTestPool(t, Options{Mode: ModeCascade, CacheBytes: 1 << 20, PoolSize: 1})
+	for call, want := range []CacheStatus{CacheMiss, CacheHit} {
+		ok, info, err := pl.AskInfoCtx(context.Background(), "path(a, d)")
+		if err != nil || !ok {
+			t.Fatalf("call %d: ok=%v err=%v", call, ok, err)
+		}
+		if info.Cache != want {
+			t.Fatalf("call %d served %v, want %v", call, info.Cache, want)
+		}
+		s := info.Stats
+		work := []int64{s.DeltaRounds, s.RuleFires, s.JoinProbes, s.Derived}
+		for i, n := range work {
+			if want == CacheMiss && n == 0 {
+				t.Errorf("call %d: Δ counter %d is zero on a miss: %+v", call, i, s)
+			}
+			if want == CacheHit && n != 0 {
+				t.Errorf("call %d: Δ counter %d is %d on a hit: %+v", call, i, n, s)
+			}
+		}
+	}
+}
+
 // TestPoolCacheHitAllocs pins the allocation cost of a cache hit: each
 // read kind parses, compiles and keys its query, then serves the stored
 // answer without leasing an engine.
